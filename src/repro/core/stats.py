@@ -59,6 +59,15 @@ class LatencySample:
     def __len__(self) -> int:
         return self._n
 
+    def __eq__(self, other: object) -> bool:
+        """Equal when the same multiset of values was recorded, so result
+        records holding a sample (e.g. ``ReplayResult``) compare by value."""
+        if not isinstance(other, LatencySample):
+            return NotImplemented
+        return self._counts == other._counts
+
+    __hash__ = None  # mutable
+
     @property
     def count(self) -> int:
         return self._n

@@ -65,10 +65,24 @@ class CoherenceOp:
     line: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is OpKind.GET_S and self.sharers:
-            raise ValueError("GetS does not invalidate sharers")
-        if self.owner is not None and self.owner == self.requester:
-            raise ValueError("requester cannot be its own remote owner")
+        # each rule rejects a shape message_plan would otherwise expand
+        # silently (ignoring a field, or sending a message twice/to self)
+        if self.owner is not None:
+            if self.kind in (OpKind.WRITEBACK, OpKind.UPGRADE):
+                raise ValueError("%s takes no remote owner (got %d)"
+                                 % (self.kind.value, self.owner))
+            if self.owner == self.requester:
+                raise ValueError("requester cannot be its own remote owner")
+        if self.sharers:
+            if self.kind in (OpKind.GET_S, OpKind.WRITEBACK):
+                raise ValueError("%s does not invalidate sharers"
+                                 % self.kind.value)
+            if len(set(self.sharers)) != len(self.sharers):
+                raise ValueError("duplicate sharers in %r"
+                                 % (self.sharers,))
+            if self.requester in self.sharers:
+                raise ValueError("requester %d cannot invalidate its own "
+                                 "copy" % self.requester)
 
 
 @dataclass(frozen=True)

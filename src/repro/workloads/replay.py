@@ -16,8 +16,8 @@ over the runtime by :mod:`repro.analysis.edp`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.stats import LatencySample
@@ -55,18 +55,33 @@ class ReplayResult:
         return sum(self.energy_by_category.values())
 
 
-class _CoreState:
-    """Progress of one core through its operation list."""
+class _OpRun:
+    """One issued op: its core's op list and position in it, its message
+    plan, and how many completing steps are still in flight."""
 
-    __slots__ = ("ops", "index")
+    __slots__ = ("ops", "index", "op", "steps", "issued_ps", "remaining",
+                 "stalls")
 
-    def __init__(self, ops: List[CoherenceOp]) -> None:
+    def __init__(self, ops: List[CoherenceOp], index: int,
+                 steps: List[MessageStep], issued_ps: int) -> None:
         self.ops = ops
-        self.index = 0
+        self.index = index
+        self.op = ops[index]
+        self.steps = steps
+        self.issued_ps = issued_ps
+        self.remaining = 0
+        # writebacks are fire-and-forget: the core does not wait
+        self.stalls = self.op.kind is not OpKind.WRITEBACK
 
 
 class TraceReplayer:
-    """Drives a coherence trace through one network, closed-loop."""
+    """Drives a coherence trace through one network, closed-loop.
+
+    Each issued op is one :class:`_OpRun`.  Each message is one
+    :class:`Packet` whose per-run ``pid`` (0, 1, ...) maps back to its
+    ``(run, step index)`` until delivery; no closure is built per op or
+    per message.
+    """
 
     def __init__(self, trace: CoherenceTrace, network_name: str,
                  config: MacrochipConfig,
@@ -77,110 +92,90 @@ class TraceReplayer:
         self.network = build_network(network_name, config, self.sim,
                                      **(network_kwargs or {}))
         self._op_latency = LatencySample()
-        self._messages = 0
+        self._cycle_ps = config.cycle_ps
+        self._plan_args = (config.control_message_bytes,
+                           config.data_message_bytes,
+                           config.directory_latency_cycles,
+                           config.memory_latency_cycles)
         self._mshrs_free = [config.mshrs_per_site] * config.num_sites
-        self._mshr_waiters: List[Deque] = [deque()
-                                           for _ in range(config.num_sites)]
-
-    # -- public --------------------------------------------------------------
+        self._mshr_waiters: List[Deque[Tuple[List[CoherenceOp], int]]] = [
+            deque() for _ in range(config.num_sites)]
+        #: next packet id, which is also the count of messages sent
+        self._next_pid = 0
+        self._in_flight: Dict[int, Tuple[_OpRun, int]] = {}
+        # bound once, not once per packet
+        self._on_delivered = self._delivered
 
     def run(self) -> ReplayResult:
-        cycle = self.config.cycle_ps
-        for core, ops in enumerate(self.trace.ops_by_core):
-            state = _CoreState(ops)
+        for ops in self.trace.ops_by_core:
             if ops:
-                self.sim.at(ops[0].gap_cycles * cycle,
-                            self._issue, core, state)
+                self.sim.at(ops[0].gap_cycles * self._cycle_ps, self._issue,
+                            ops, 0)
         events = self.sim.run()
         return ReplayResult(
             network=self.network.name,
             workload=self.trace.workload,
             runtime_ps=self.sim.now,
             ops_completed=len(self._op_latency),
-            messages_sent=self._messages,
+            messages_sent=self._next_pid,
             op_latency=self._op_latency,
             energy_by_category=self.network.stats.energy.categories(),
             events_dispatched=events,
         )
 
-    # -- core state machine ----------------------------------------------------
-
-    def _issue(self, core: int, state: _CoreState) -> None:
-        op = state.ops[state.index]
+    def _issue(self, ops: List[CoherenceOp], index: int) -> None:
+        op = ops[index]
         site = op.requester
         if self._mshrs_free[site] == 0:
-            self._mshr_waiters[site].append((core, state))
+            self._mshr_waiters[site].append((ops, index))
             return
         self._mshrs_free[site] -= 1
-        issue_time = self.sim.now
-        if op.kind is OpKind.WRITEBACK:
-            # fire-and-forget: inject and continue immediately
-            self._send_plan(op, issue_time, on_complete=None)
-            self._op_done(core, state, op, issue_time, stalled=False)
-            return
-        self._send_plan(
-            op, issue_time,
-            on_complete=lambda: self._op_done(core, state, op, issue_time,
-                                              stalled=True))
-
-    def _op_done(self, core: int, state: _CoreState, op: CoherenceOp,
-                 issue_time: int, stalled: bool) -> None:
-        if stalled:
-            # writebacks are fire-and-forget and excluded from the
-            # latency-per-coherence-operation metric (Figure 8)
-            self._op_latency.add(self.sim.now - issue_time)
-        self._release_mshr(op.requester)
-        state.index += 1
-        if state.index < len(state.ops):
-            gap = state.ops[state.index].gap_cycles * self.config.cycle_ps
-            self.sim.schedule(gap, self._issue, core, state)
-
-    def _release_mshr(self, site: int) -> None:
-        waiters = self._mshr_waiters[site]
-        self._mshrs_free[site] += 1
-        if waiters:
-            core, state = waiters.popleft()
-            self.sim.schedule(0, self._issue, core, state)
-
-    # -- message plan execution --------------------------------------------------
-
-    def _send_plan(self, op: CoherenceOp, issue_time: int,
-                   on_complete) -> None:
-        cfg = self.config
-        steps = message_plan(op, cfg.control_message_bytes,
-                             cfg.data_message_bytes,
-                             cfg.directory_latency_cycles,
-                             cfg.memory_latency_cycles)
-        dependents: Dict[int, List[int]] = {}
-        remaining = 0
-        for i, step in enumerate(steps):
+        now = self.sim.now
+        run = _OpRun(ops, index, message_plan(op, *self._plan_args), now)
+        for step_index, step in enumerate(run.steps):
             if step.completes:
-                remaining += 1
-            if step.depends_on is not None:
-                dependents.setdefault(step.depends_on, []).append(i)
-        tracker = {"remaining": remaining}
-
-        def inject(index: int) -> None:
-            step = steps[index]
-            self._messages += 1
-            packet = Packet(step.src, step.dst, step.size_bytes,
-                            kind=step.kind,
-                            on_delivered=lambda _p, i=index: delivered(i))
-            self.network.inject(packet)
-
-        def delivered(index: int) -> None:
-            step = steps[index]
-            if step.completes and on_complete is not None:
-                tracker["remaining"] -= 1
-                if tracker["remaining"] == 0:
-                    on_complete()
-            for dep_index in dependents.get(index, ()):
-                delay = steps[dep_index].extra_delay_cycles * cfg.cycle_ps
-                self.sim.schedule(delay, inject, dep_index)
-
-        for i, step in enumerate(steps):
+                run.remaining += 1
             if step.depends_on is None:
-                self.sim.at(issue_time, inject, i)
+                self.sim.at(now, self._inject, run, step_index)
+        if not run.stalls:
+            self._op_done(run)
+
+    def _op_done(self, run: _OpRun) -> None:
+        if run.stalls:
+            # writebacks are excluded from the latency-per-coherence-
+            # operation metric (Figure 8)
+            self._op_latency.add(self.sim.now - run.issued_ps)
+        site = run.op.requester
+        self._mshrs_free[site] += 1
+        waiters = self._mshr_waiters[site]
+        if waiters:
+            self.sim.schedule(0, self._issue, *waiters.popleft())
+        ops, index = run.ops, run.index + 1
+        if index < len(ops):
+            self.sim.schedule(ops[index].gap_cycles * self._cycle_ps,
+                              self._issue, ops, index)
+
+    def _inject(self, run: _OpRun, index: int) -> None:
+        step = run.steps[index]
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        self._in_flight[pid] = (run, index)
+        self.network.inject(Packet(step.src, step.dst, step.size_bytes,
+                                   kind=step.kind,
+                                   on_delivered=self._on_delivered,
+                                   pid=pid))
+
+    def _delivered(self, packet: Packet) -> None:
+        run, index = self._in_flight.pop(packet.pid)
+        steps = run.steps
+        if run.stalls and steps[index].completes:
+            run.remaining -= 1
+            if run.remaining == 0:
+                self._op_done(run)
+        for dep_index, step in enumerate(steps):
+            if step.depends_on == index:
+                self.sim.schedule(step.extra_delay_cycles * self._cycle_ps,
+                                  self._inject, run, dep_index)
 
 
 def replay(trace: CoherenceTrace, network_name: str,

@@ -33,6 +33,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             op(OpKind.GET_S, requester=0, owner=0)
 
+    @pytest.mark.parametrize("kind", [OpKind.WRITEBACK, OpKind.UPGRADE])
+    def test_owner_on_writeback_or_upgrade_rejected(self, kind):
+        with pytest.raises(ValueError, match="no remote owner"):
+            op(kind, owner=2)
+
+    def test_writeback_with_sharers_rejected(self):
+        with pytest.raises(ValueError, match="WB does not invalidate"):
+            op(OpKind.WRITEBACK, sharers=(2,))
+
+    @pytest.mark.parametrize("kind", [OpKind.GET_M, OpKind.UPGRADE])
+    def test_duplicate_sharers_rejected(self, kind):
+        with pytest.raises(ValueError, match="duplicate sharers"):
+            op(kind, sharers=(2, 3, 2))
+
+    @pytest.mark.parametrize("kind", [OpKind.GET_M, OpKind.UPGRADE])
+    def test_requester_among_its_sharers_rejected(self, kind):
+        with pytest.raises(ValueError, match="its own copy"):
+            op(kind, requester=0, sharers=(2, 0))
+
+    def test_home_among_sharers_is_legal(self):
+        # the home site may itself cache the line
+        steps = plan(op(OpKind.GET_M, home=1, sharers=(1, 2)))
+        assert sorted(s.dst for s in steps if s.kind == "inv") == [1, 2]
+
 
 class TestGetS:
     def test_memory_supply(self):

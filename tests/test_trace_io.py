@@ -87,3 +87,16 @@ def test_loaded_trace_replays_identically(tmp_path):
     assert a.runtime_ps == b.runtime_ps
     assert a.messages_sent == b.messages_sent
     assert a.mean_op_latency_ns == b.mean_op_latency_ns
+
+
+def test_malformed_op_rejected_on_load():
+    """Validation runs on load: a hand-edited file cannot smuggle in an
+    op that message_plan would expand silently."""
+    buf = io.StringIO()
+    dump_trace(sample_trace(), buf)
+    doc = json.loads(buf.getvalue())
+    gap, kind_code, requester, home, owner, sharers, line = doc["ops"][0][1]
+    doc["ops"][0][1] = [gap, kind_code, requester, home, owner,
+                        sharers + sharers[:1], line]
+    with pytest.raises(ValueError, match="duplicate sharers"):
+        load_trace(io.StringIO(json.dumps(doc)))
