@@ -27,14 +27,47 @@ Two flavors:
 Keys must be hashable; the frozen config dataclasses qualify.  The
 registry is never consulted on a hot path — only at network
 construction — so a plain dict probe is all the machinery needed.
+
+The per-process caches of *mutable* run state — warm contexts
+(``repro.core.parallel``), draw banks (``repro.core.sweep``) and kernel
+scratch arenas (``repro.core.vectorized``) — grow with what they served,
+so they are not interned forever but kept in a :class:`BoundedLRU`.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable
 
-__all__ = ["intern_table", "intern_memo", "clear_interned",
+__all__ = ["BoundedLRU", "intern_table", "intern_memo", "clear_interned",
            "interned_count"]
+
+
+class BoundedLRU(OrderedDict):
+    """A mapping that keeps at most ``maxsize`` entries.
+
+    :meth:`get` marks a hit most recently used; inserting a new key past
+    the cap evicts the least recently used entries.  Membership tests
+    (``key in cache``) never change the order.  Evicting a cached value
+    never changes a result, only whether the next use rebuilds it.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        try:
+            value = self[key]
+        except KeyError:
+            return default
+        self.move_to_end(key)
+        return value
+
+    def __setitem__(self, key: Hashable, value: Any) -> None:
+        super().__setitem__(key, value)
+        while len(self) > self.maxsize:
+            self.popitem(last=False)
 
 _TABLES: Dict[Hashable, Any] = {}
 

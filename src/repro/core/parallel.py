@@ -12,16 +12,14 @@ that shards such grids across worker processes:
   what order, or whether it runs in-process.
 * :class:`Shard` — one picklable unit of work (a module-level callable
   plus arguments).
-* :func:`run_sharded` — execute a list of shards on a pluggable
-  :class:`Executor` backend, returning results in submission order
-  together with per-shard telemetry (:class:`ShardReport`).
-* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` /
-  :class:`RemoteExecutor` — the executor layer: serial in-process, local
-  ``multiprocessing`` pool, and a documented-contract stub for remote
-  socket workers.  Every backend is *fault-tolerant*: a raising shard, a
-  vanished (OOM-killed, crashed) worker, or a hung shard degrades to a
-  per-shard :class:`ShardError` result slot — never a run-wide abort
-  that loses the completed results.
+* :func:`run_sharded` — execute a list of shards and return results in
+  submission order together with per-shard telemetry
+  (:class:`ShardReport`).  It runs them in-process when one worker
+  suffices and on a local ``multiprocessing`` pool otherwise.  Both
+  paths are *fault-tolerant*: a raising shard, a vanished (OOM-killed,
+  crashed) worker, or a hung shard degrades to a per-shard
+  :class:`ShardError` result slot — never a run-wide abort that loses
+  the completed results.
 * :class:`WorkerPool` — a persistent pool of worker processes that lives
   *across* ``run_sharded`` calls (pass it as ``pool=``), so a multi-call
   driver (figure sweeps, campaigns, benchmarks) pays process spin-up
@@ -31,28 +29,28 @@ that shards such grids across worker processes:
   per process, keyed by config fingerprint and reset between uses, so an
   entire sweep reuses one network instead of rebuilding channels and
   derived tables per load point (see ``repro.core.sweep``, ``warm=``).
-  The registry is LRU-bounded (:func:`set_context_cache_limit`) so
-  long-lived workers never grow it without limit.
+  The registry is a :class:`~repro.core.interning.BoundedLRU` of 32
+  contexts, so long-lived workers never grow it without limit.
 
 Determinism contract
 --------------------
 ``run_sharded`` guarantees that the *results* list is a pure function of
-the shards themselves: execution order, worker count, start method, the
-executor backend, retries, and worker deaths never leak into it.  Shard
-callables must therefore derive any randomness from their own arguments
-(see :func:`derive_seed`) and must not mutate shared state.  This is
-what makes fault tolerance cheap: a shard re-executed after its worker
-vanished — on a rebuilt pool or serially in the parent — is
+the shards themselves: execution order, worker count, start method,
+serial or pool execution, retries, and worker deaths never leak into it.
+Shard callables must therefore derive any randomness from their own
+arguments (see :func:`derive_seed`) and must not mutate shared state.
+This is what makes fault tolerance cheap: a shard re-executed after its
+worker vanished — on a rebuilt pool or serially in the parent — is
 *bit-identical* to the run that was lost, so recovery never needs to
 checkpoint partial simulation state, only to re-run the shard.  A shard
 that fails identically on every attempt yields the same
-:class:`ShardError` slot under any backend.  Telemetry (wall-clock,
+:class:`ShardError` slot serially or on a pool.  Telemetry (wall-clock,
 pids, attempt counts) is reported separately and is explicitly *not*
 deterministic.
 
 Error policy
 ------------
-Every executor applies the same per-shard policy (``on_error=``):
+Both execution paths apply the same per-shard policy (``on_error=``):
 
 * ``'raise'`` (default) — re-raise the first shard exception in the
   caller, matching the historical behavior;
@@ -62,12 +60,11 @@ Every executor applies the same per-shard policy (``on_error=``):
 * ``'retry'`` — re-execute the failing shard up to ``max_retries``
   times (bit-identical by the determinism contract), then collect.
 
-``timeout_s`` bounds each shard's execution on pool backends: a shard
-that exceeds it is recorded as a ``'timeout'`` :class:`ShardError`, the
-hung worker is destroyed, and the pool is rebuilt (timeouts are never
-retried — a deterministic hang would just hang again).  The serial
-backend cannot preempt in-process work and documents ``timeout_s`` as
-best-effort-ignored.
+``timeout_s`` bounds each shard's execution on a pool: a shard that
+exceeds it is recorded as a ``'timeout'`` :class:`ShardError`, the hung
+worker is destroyed, and the pool is rebuilt (timeouts are never
+retried — a deterministic hang would just hang again).  In-process
+execution cannot preempt a shard and ignores ``timeout_s``.
 """
 
 from __future__ import annotations
@@ -80,24 +77,20 @@ import threading
 import time
 import traceback as _traceback
 import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
+from .interning import BoundedLRU
+
 __all__ = [
     "available_cpus",
     "clear_contexts",
-    "context_cache_limit",
     "derive_seed",
     "get_context",
     "resolve_workers",
-    "set_context_cache_limit",
     "ErrorPolicy",
-    "Executor",
-    "PoolExecutor",
-    "RemoteExecutor",
-    "SerialExecutor",
     "Shard",
     "ShardError",
     "ShardExecutionError",
@@ -221,20 +214,20 @@ class ShardExecutionError(RuntimeError):
 
 class ShardTimeoutError(TimeoutError):
     """Raised under ``on_error='raise'`` when a shard exceeds the
-    policy's ``timeout_s`` on a pool backend."""
+    policy's ``timeout_s`` on a pool."""
 
 
 @dataclass(frozen=True)
 class ErrorPolicy:
-    """Per-shard failure policy shared by every executor backend.
+    """Per-shard failure policy shared by serial and pool execution.
 
     ``on_error`` is ``'raise'`` (propagate the first failure — the
     historical behavior and the default), ``'collect'`` (a failing shard
     becomes a :class:`ShardError` result slot; the rest of the run
     completes), or ``'retry'`` (re-execute up to ``max_retries`` extra
     times — bit-identical re-runs by the determinism contract — then
-    collect).  ``timeout_s`` bounds a shard's execution on pool
-    backends; ``None`` disables the bound.  Timeouts are terminal under
+    collect).  ``timeout_s`` bounds a shard's execution on a pool;
+    ``None`` disables the bound.  Timeouts are terminal under
     every policy: retrying a deterministic hang would only hang again.
     """
 
@@ -261,7 +254,7 @@ class ShardedRun:
     results: List[Any]
     reports: List[ShardReport]
     workers: int
-    mode: str  # 'serial' | 'fork' | 'spawn' | 'forkserver' | 'remote'
+    mode: str  # 'serial' | 'fork' | 'spawn' | 'forkserver'
     wall_clock_s: float
 
     @property
@@ -403,17 +396,17 @@ def _reraise(failure: _CapturedFailure, shard: Shard) -> None:
            failure.traceback_text))
 
 
-#: signature every executor's result callback follows:
+#: signature of the result callback both execution loops report through:
 #: emit(index, result_or_ShardError, elapsed_s, worker_pid, attempts)
 EmitFn = Callable[[int, Any, float, int, int], None]
 
 
 def _execute_serially(tasks: Sequence[Tuple[int, Shard]],
                       policy: ErrorPolicy, emit: EmitFn) -> None:
-    """The shared in-process execution loop: used by
-    :class:`SerialExecutor` and as the degradation path when no pool can
-    be created.  ``timeout_s`` is not enforceable in-process (a shard
-    cannot be preempted from its own thread) and is ignored here."""
+    """The in-process execution loop: used when one worker suffices and
+    as the degradation path when no pool can be created.  ``timeout_s``
+    is not enforceable in-process (a shard cannot be preempted from its
+    own thread) and is ignored here."""
     for index, shard in tasks:
         failures = 0
         while True:
@@ -431,51 +424,6 @@ def _execute_serially(tasks: Sequence[Tuple[int, Shard]],
             break
 
 
-# -- the executor layer -------------------------------------------------------
-
-class Executor:
-    """Abstract execution backend for :func:`run_sharded`.
-
-    An executor runs a list of ``(index, shard)`` tasks and reports each
-    outcome exactly once through the ``emit`` callback — a real result
-    or a :class:`ShardError`, per the :class:`ErrorPolicy`.  Only under
-    ``on_error='raise'`` may ``execute`` raise instead of emitting.
-    Implementations must uphold the module's determinism contract:
-    *which* results come back is a pure function of the shards, however
-    the backend schedules, retries, or recovers them.
-    """
-
-    #: telemetry label for ShardedRun.mode
-    mode = "abstract"
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; no-op by default)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SerialExecutor(Executor):
-    """In-process execution — the deterministic baseline every other
-    backend must match bit-for-bit.  Fault tolerance still applies
-    (exception capture, retries, collection); only ``timeout_s`` is
-    ignored, since in-process work cannot be preempted."""
-
-    mode = "serial"
-    workers = 1
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        _execute_serially(tasks, policy, emit)
-
-
 @dataclass
 class _InFlight:
     """Book-keeping for one shard currently submitted to the pool."""
@@ -485,11 +433,16 @@ class _InFlight:
     submitted_at: float
 
 
-class PoolExecutor(Executor):
-    """Fault-tolerant execution on a local ``multiprocessing`` pool.
+#: seconds between pool health checks while no shard has completed
+_POLL_INTERVAL_S = 0.01
+
+
+def _execute_on_pool(pool: WorkerPool, tasks: Sequence[Tuple[int, Shard]],
+                     policy: ErrorPolicy, emit: EmitFn) -> None:
+    """Fault-tolerant execution on a :class:`WorkerPool`.
 
     Shards are submitted through a sliding window of at most
-    ``workers`` concurrent tasks (so a submitted shard is actually
+    ``pool.workers`` concurrent tasks (so a submitted shard is actually
     *running*, which is what makes ``timeout_s`` meaningful), and the
     pool is health-checked whenever no result is ready:
 
@@ -497,7 +450,7 @@ class PoolExecutor(Executor):
       ships it back as data; the pool stays healthy and the policy
       decides (re-raise / collect / retry).
     * **vanished worker** (OOM-killed, segfaulted, ``kill -9``) — the
-      executor notices the pid disappearing, rebuilds the pool, and
+      loop notices the pid disappearing, rebuilds the pool, and
       re-executes the lost in-flight shards *serially in the parent*:
       by the determinism contract the re-run is bit-identical to the
       run that died, so nothing else is needed.
@@ -507,222 +460,153 @@ class PoolExecutor(Executor):
       deterministic hang would hang again) and innocent in-flight
       shards are resubmitted to the fresh pool.
 
-    Wraps an owned or borrowed :class:`WorkerPool`; borrowed pools are
-    left alive for the caller (but may be transparently rebuilt by the
-    recovery paths above — worker processes, and therefore their warm
-    caches, are expendable by design).  If no pool can be created at
+    A run that raises rebuilds the pool before propagating, so no
+    worker is left computing abandoned shards.  The pool object stays
+    usable either way — worker processes, and therefore their warm
+    caches, are expendable by design.  If no pool can be created at
     all, execution degrades to the serial loop, results unchanged.
     """
+    mp_pool = pool.acquire()
+    if mp_pool is None:
+        _execute_serially(tasks, policy, emit)
+        return
+    try:
+        _pool_loop(pool, mp_pool, tasks, policy, emit)
+    except Exception:
+        # a raising run must not wait on (or hang behind) the rest of
+        # the grid: abandon in-flight work hard.  Fresh workers spawn
+        # on the next acquire()
+        pool.rebuild()
+        raise
 
-    #: seconds between health checks while no shard has completed
-    poll_interval_s = 0.01
 
-    def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None) -> None:
-        if pool is not None:
-            self._pool = pool
-            self._owns_pool = False
-        else:
-            self._pool = WorkerPool(workers, start_method)
-            self._owns_pool = True
+def _pool_loop(pool: WorkerPool, mp_pool: Any,
+               tasks: Sequence[Tuple[int, Shard]], policy: ErrorPolicy,
+               emit: EmitFn) -> None:
+    pending: deque = deque(tasks)
+    in_flight: Dict[int, _InFlight] = {}
+    failures: Dict[int, int] = {}
+    known_pids: Set[int] = set(pool.worker_pids())
+    window = max(1, pool.workers)
 
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    @property
-    def mode(self) -> str:
-        return self._pool.mode
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self._pool.close()
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        mp_pool = self._pool.acquire()
-        if mp_pool is None:
-            _execute_serially(tasks, policy, emit)
+    def finish(index: int, shard: Shard, ok: bool, value: Any,
+               elapsed: float, pid: int) -> None:
+        """Apply the error policy to one completed execution."""
+        if ok:
+            emit(index, value, elapsed, pid, failures.get(index, 0) + 1)
             return
-        try:
-            self._execute_on_pool(mp_pool, tasks, policy, emit)
-        except Exception:
-            # a raising run must not wait on (or hang behind) the rest
-            # of the grid: abandon in-flight work hard.  The pool object
-            # stays reusable — fresh workers spawn on the next acquire()
-            self._pool.rebuild()
-            raise
-
-    def _execute_on_pool(self, mp_pool, tasks, policy, emit) -> None:
-        pending: deque = deque(tasks)
-        in_flight: Dict[int, _InFlight] = {}
-        failures: Dict[int, int] = {}
-        known_pids: Set[int] = set(self._pool.worker_pids())
-        window = max(1, self._pool.workers)
-
-        def finish(index: int, shard: Shard, ok: bool, value: Any,
-                   elapsed: float, pid: int) -> None:
-            """Apply the error policy to one completed execution."""
-            if ok:
-                emit(index, value, elapsed, pid, failures.get(index, 0) + 1)
-                return
-            count = failures.get(index, 0) + 1
-            failures[index] = count
-            if policy.on_error == "raise":
-                _reraise(value, shard)
-            if policy.on_error == "retry" and count <= policy.max_retries:
-                pending.append((index, shard))
-                return
-            emit(index, _failure_to_error(index, shard, value, count, pid),
-                 elapsed, pid, count)
-
-        def run_in_parent(index: int, shard: Shard) -> None:
-            """Serial re-execution fallback for a shard whose worker
-            vanished (bit-identical by the determinism contract)."""
-            _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
-            finish(index, shard, ok, value, elapsed, pid)
-
-        def rebuild() -> Any:
-            """Tear down and respawn the workers; returns the fresh pool
-            (or None when respawn fails — callers fall back to serial)."""
-            nonlocal known_pids
-            self._pool.rebuild()
-            fresh = self._pool.acquire()
-            known_pids = set(self._pool.worker_pids())
-            return fresh
-
-        while pending or in_flight:
-            # keep the submission window full: at most `workers` shards
-            # in flight, so each is actually running on a worker and the
-            # per-shard timeout clock is honest
-            while pending and len(in_flight) < window and mp_pool is not None:
-                index, shard = pending.popleft()
-                in_flight[index] = _InFlight(
-                    shard,
-                    mp_pool.apply_async(_invoke_guarded, ((index, shard),)),
-                    time.monotonic())
-            if mp_pool is None:
-                # pool could not be rebuilt: drain the rest in-process
-                while pending:
-                    index, shard = pending.popleft()
-                    run_in_parent(index, shard)
-                continue
-
-            ready = [i for i, f in in_flight.items()
-                     if f.async_result.ready()]
-            if ready:
-                for index in ready:
-                    flight = in_flight.pop(index)
-                    try:
-                        _, ok, value, elapsed, pid = flight.async_result.get()
-                    except Exception as exc:
-                        # result transport failed (e.g. the shard's
-                        # return value would not pickle): treat as a
-                        # shard failure, not a run abort
-                        ok = False
-                        value = _capture_failure(exc,
-                                                 require_picklable=False)
-                        elapsed = time.monotonic() - flight.submitted_at
-                        pid = 0
-                    finish(index, flight.shard, ok, value, elapsed, pid)
-                continue
-
-            # nothing completed: health-check before sleeping
-            current = set(self._pool.worker_pids())
-            if known_pids - current:
-                # a worker vanished without reporting back.  We cannot
-                # know which in-flight shard it held, so rebuild the
-                # pool and re-run everything in flight serially — cheap
-                # (at most `workers` shards) and bit-identical
-                lost = sorted(in_flight.items())
-                in_flight.clear()
-                mp_pool = rebuild()
-                for index, flight in lost:
-                    run_in_parent(index, flight.shard)
-                continue
-            known_pids |= current
-
-            if policy.timeout_s is not None:
-                now = time.monotonic()
-                expired = [i for i, f in in_flight.items()
-                           if now - f.submitted_at >= policy.timeout_s]
-                if expired:
-                    survivors = [(i, f) for i, f in in_flight.items()
-                                 if i not in expired]
-                    hung = [(i, in_flight[i]) for i in sorted(expired)]
-                    in_flight.clear()
-                    # destroy the hung worker(s) — terminate is the only
-                    # way out of a stuck task — and respawn
-                    mp_pool = rebuild()
-                    for index, flight in hung:
-                        self._finish_timeout(index, flight, policy, emit,
-                                             failures)
-                    # innocent shards lost to the teardown go back in
-                    # the queue (a re-run is bit-identical)
-                    for index, flight in survivors:
-                        pending.appendleft((index, flight.shard))
-                    continue
-
-            time.sleep(self.poll_interval_s)
-
-    def _finish_timeout(self, index: int, flight: _InFlight,
-                        policy: ErrorPolicy, emit: EmitFn,
-                        failures: Dict[int, int]) -> None:
-        elapsed = time.monotonic() - flight.submitted_at
-        attempts = failures.get(index, 0) + 1
-        failures[index] = attempts
-        message = ("exceeded timeout_s=%.3g (%.2fs elapsed)"
-                   % (policy.timeout_s, elapsed))
+        count = failures.get(index, 0) + 1
+        failures[index] = count
         if policy.on_error == "raise":
-            raise ShardTimeoutError("shard %d (%s) %s"
-                                    % (index, flight.shard.label, message))
-        emit(index,
-             ShardError(index=index, label=flight.shard.label,
-                        kind="timeout", error_type="ShardTimeoutError",
-                        message=message, attempts=attempts),
-             elapsed, 0, attempts)
+            _reraise(value, shard)
+        if policy.on_error == "retry" and count <= policy.max_retries:
+            pending.append((index, shard))
+            return
+        emit(index, _failure_to_error(index, shard, value, count, pid),
+             elapsed, pid, count)
+
+    def run_in_parent(index: int, shard: Shard) -> None:
+        """Serial re-execution fallback for a shard whose worker
+        vanished (bit-identical by the determinism contract)."""
+        _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
+        finish(index, shard, ok, value, elapsed, pid)
+
+    def rebuild() -> Any:
+        """Tear down and respawn the workers; returns the fresh pool
+        (or None when respawn fails — callers fall back to serial)."""
+        nonlocal known_pids
+        pool.rebuild()
+        fresh = pool.acquire()
+        known_pids = set(pool.worker_pids())
+        return fresh
+
+    while pending or in_flight:
+        # keep the submission window full: at most `workers` shards in
+        # flight, so each is actually running on a worker and the
+        # per-shard timeout clock is honest
+        while pending and len(in_flight) < window and mp_pool is not None:
+            index, shard = pending.popleft()
+            in_flight[index] = _InFlight(
+                shard,
+                mp_pool.apply_async(_invoke_guarded, ((index, shard),)),
+                time.monotonic())
+        if mp_pool is None:
+            # pool could not be rebuilt: drain the rest in-process
+            while pending:
+                index, shard = pending.popleft()
+                run_in_parent(index, shard)
+            continue
+
+        ready = [i for i, f in in_flight.items() if f.async_result.ready()]
+        if ready:
+            for index in ready:
+                flight = in_flight.pop(index)
+                try:
+                    _, ok, value, elapsed, pid = flight.async_result.get()
+                except Exception as exc:
+                    # result transport failed (e.g. the shard's return
+                    # value would not pickle): treat as a shard failure,
+                    # not a run abort
+                    ok = False
+                    value = _capture_failure(exc, require_picklable=False)
+                    elapsed = time.monotonic() - flight.submitted_at
+                    pid = 0
+                finish(index, flight.shard, ok, value, elapsed, pid)
+            continue
+
+        # nothing completed: health-check before sleeping
+        current = set(pool.worker_pids())
+        if known_pids - current:
+            # a worker vanished without reporting back.  We cannot know
+            # which in-flight shard it held, so rebuild the pool and
+            # re-run everything in flight serially — cheap (at most
+            # `workers` shards) and bit-identical
+            lost = sorted(in_flight.items())
+            in_flight.clear()
+            mp_pool = rebuild()
+            for index, flight in lost:
+                run_in_parent(index, flight.shard)
+            continue
+        known_pids |= current
+
+        if policy.timeout_s is not None:
+            now = time.monotonic()
+            expired = [i for i, f in in_flight.items()
+                       if now - f.submitted_at >= policy.timeout_s]
+            if expired:
+                survivors = [(i, f) for i, f in in_flight.items()
+                             if i not in expired]
+                hung = [(i, in_flight[i]) for i in sorted(expired)]
+                in_flight.clear()
+                # destroy the hung worker(s) — terminate is the only way
+                # out of a stuck task — and respawn
+                mp_pool = rebuild()
+                for index, flight in hung:
+                    _finish_timeout(index, flight, policy, emit, failures)
+                # innocent shards lost to the teardown go back in the
+                # queue (a re-run is bit-identical)
+                for index, flight in survivors:
+                    pending.appendleft((index, flight.shard))
+                continue
+
+        time.sleep(_POLL_INTERVAL_S)
 
 
-class RemoteExecutor(Executor):
-    """Socket-distributed execution backend — documented contract stub.
-
-    The intended fleet deployment (see ROADMAP: "from one box to a
-    fleet") runs a small agent per remote host that owns a local
-    :class:`WorkerPool`.  A future implementation must honor this
-    contract, which is exactly the one the local backends already obey:
-
-    * **wire format** — each task ships as the pickled ``(index,
-      Shard)`` payload `_invoke_guarded` takes, and each outcome returns
-      as the pickled ``(index, ok, value, elapsed_s, pid)`` tuple it
-      produces, so the parent-side policy/emit machinery is reused
-      verbatim;
-    * **determinism** — results are a pure function of the shards:
-      any host may run any shard, in any order, and a retry may land on
-      a different host (:func:`derive_seed` makes the re-run
-      bit-identical);
-    * **fault tolerance** — a dropped connection is a vanished worker
-      (serial re-execution fallback in the parent), a missed heartbeat
-      past ``timeout_s`` is a hung shard (``'timeout'``
-      :class:`ShardError`, host quarantined), and a raising shard comes
-      back as a :class:`_CapturedFailure` like any local failure;
-    * **warm caches** — per-host processes keep the same per-process
-      context/draw-bank registries the local pool enjoys; eviction is
-      the host's concern (the LRU caps apply per process).
-
-    Instantiating it raises ``NotImplementedError`` until a transport
-    lands; the class exists so callers can program against the executor
-    interface today.
-    """
-
-    mode = "remote"
-
-    def __init__(self, endpoints: Sequence[str]) -> None:
-        raise NotImplementedError(
-            "RemoteExecutor is a documented contract stub: no socket "
-            "transport ships in this repo yet (endpoints requested: %r). "
-            "Use SerialExecutor or PoolExecutor, or implement the wire "
-            "contract in this class's docstring." % (list(endpoints),))
+def _finish_timeout(index: int, flight: _InFlight, policy: ErrorPolicy,
+                    emit: EmitFn, failures: Dict[int, int]) -> None:
+    elapsed = time.monotonic() - flight.submitted_at
+    attempts = failures.get(index, 0) + 1
+    failures[index] = attempts
+    message = ("exceeded timeout_s=%.3g (%.2fs elapsed)"
+               % (policy.timeout_s, elapsed))
+    if policy.on_error == "raise":
+        raise ShardTimeoutError("shard %d (%s) %s"
+                                % (index, flight.shard.label, message))
+    emit(index,
+         ShardError(index=index, label=flight.shard.label,
+                    kind="timeout", error_type="ShardTimeoutError",
+                    message=message, attempts=attempts),
+         elapsed, 0, attempts)
 
 
 def _submission_order(shards: Sequence[Shard],
@@ -781,39 +665,14 @@ class SimContext:
 
 #: per-process warm-start context registry, keyed by the full context
 #: fingerprint and LRU-bounded (a long campaign cycling through many
-#: configs in persistent workers must not grow memory without limit).
-#: Workers forked *before* the parent populated it start empty and build
-#: their own; contexts are never shipped across processes (Simulator
-#: callbacks are not picklable, and need not be — the registry is looked
-#: up inside the shard body).
-_CONTEXTS: "OrderedDict[Any, SimContext]" = OrderedDict()
-
-#: default cap on cached warm contexts per process: a full Figure 6 run
-#: needs one per (network, window) pair — six networks a few windows
-#: deep fit comfortably; eviction only costs a rebuild on next use
-DEFAULT_CONTEXT_CACHE_LIMIT = 32
-_context_cache_limit = DEFAULT_CONTEXT_CACHE_LIMIT
-
-
-def context_cache_limit() -> int:
-    """Current LRU cap on the per-process warm-context registry."""
-    return _context_cache_limit
-
-
-def set_context_cache_limit(limit: int) -> int:
-    """Set the warm-context LRU cap (>= 1); evicts least-recently-used
-    entries immediately if the registry is over the new cap.  Returns
-    the previous limit so tests/benchmarks can restore it."""
-    global _context_cache_limit
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("context cache limit must be >= 1, got %r"
-                         % (limit,))
-    previous = _context_cache_limit
-    _context_cache_limit = limit
-    while len(_CONTEXTS) > _context_cache_limit:
-        _CONTEXTS.popitem(last=False)
-    return previous
+#: configs in persistent workers must not grow memory without limit).  A
+#: full Figure 6 run needs one context per (network, window) pair — six
+#: networks a few windows deep fit in 32 comfortably.  Workers forked
+#: *before* the parent populated it start empty and build their own;
+#: contexts are never shipped across processes (Simulator callbacks are
+#: not picklable, and need not be — the registry is looked up inside the
+#: shard body).
+_CONTEXTS = BoundedLRU(32)
 
 
 def _context_key(network_name: str, config: Any, warmup_ps: int,
@@ -833,18 +692,15 @@ def get_context(network_name: str, config: Any, warmup_ps: int,
     First use constructs (fresh by definition); every later use resets
     the cached instance, which the reset protocol guarantees is
     indistinguishable from fresh construction.  The registry is
-    LRU-bounded (:func:`set_context_cache_limit`): evicting a context
-    never affects results — only whether the next use pays construction.
+    LRU-bounded: evicting a context never affects results — only whether
+    the next use pays construction.
     """
     key = _context_key(network_name, config, warmup_ps, network_kwargs)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = SimContext(network_name, config, warmup_ps, network_kwargs)
-        _CONTEXTS[key] = ctx
-        while len(_CONTEXTS) > _context_cache_limit:
-            _CONTEXTS.popitem(last=False)
+        ctx = _CONTEXTS[key] = SimContext(network_name, config, warmup_ps,
+                                          network_kwargs)
     else:
-        _CONTEXTS.move_to_end(key)
         ctx.reset()
     ctx.uses += 1
     return ctx
@@ -858,13 +714,11 @@ def clear_contexts() -> int:
     return n
 
 
-def _pick_context(start_method: Optional[str]):
+def _pick_context():
     """Choose a multiprocessing context, preferring ``fork`` (cheap,
     inherits ``sys.path``) and falling back to the platform default."""
     import multiprocessing
 
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -887,6 +741,31 @@ def _join_pool_with_timeout(pool, timeout_s: float) -> bool:
     return not joiner.is_alive()
 
 
+def _terminate_pool(pool, timeout_s: float) -> None:
+    """``pool.terminate()`` that cannot hang the caller.
+
+    CPython's pool can send one stop sentinel too few when a worker died
+    and was replaced just before ``terminate()``: a worker is then left
+    blocked reading the task pipe while it holds the pipe's read lock,
+    and ``terminate()`` waits for that lock forever.  Once the pool's
+    task handler has exited, nothing else writes the pipe, so extra
+    sentinels release the stuck reader.  If even that does not help,
+    the terminating thread is abandoned (it is a daemon)."""
+    stopper = threading.Thread(target=pool.terminate, daemon=True,
+                               name="workerpool-terminate")
+    stopper.start()
+    stopper.join(timeout_s)
+    if not stopper.is_alive():
+        return
+    try:
+        if not pool._task_handler.is_alive():
+            for _ in range(pool._processes):
+                pool._inqueue._writer.send(None)
+    except (AttributeError, OSError):  # pragma: no cover - internals
+        return
+    stopper.join(timeout_s)
+
+
 class WorkerPool:
     """A persistent multiprocessing pool that outlives ``run_sharded``.
 
@@ -905,8 +784,8 @@ class WorkerPool:
     worker will not exit, so closing a pool can never hang the caller;
     after shutdown ``mode`` reads ``"serial"`` until the next
     :meth:`acquire` spawns fresh workers.  :meth:`rebuild` is the hard
-    variant (terminate first) used by the fault-tolerant executor after
-    a dead-worker detection or a hung shard.
+    variant (terminate first) used by the fault-tolerant pool loop after
+    a dead-worker detection, a hung shard, or a raising run.
 
     Falls back to serial exactly like ``run_sharded`` does when the
     platform cannot provide a pool; ``workers=1`` never creates
@@ -914,10 +793,8 @@ class WorkerPool:
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  close_timeout_s: float = 5.0) -> None:
         self.workers = resolve_workers(workers)
-        self._start_method = start_method
         self._pool = None
         self._failed = False
         self.mode = "serial"
@@ -928,7 +805,7 @@ class WorkerPool:
         when serial (workers=1 or pool creation failed)."""
         if self._pool is None and not self._failed and self.workers > 1:
             try:
-                context = _pick_context(self._start_method)
+                context = _pick_context()
                 self._pool = context.Pool(processes=self.workers)
                 self.mode = context.get_start_method()
             except (ImportError, OSError, ValueError):
@@ -957,7 +834,7 @@ class WorkerPool:
         pool, self._pool = self._pool, None
         self.mode = "serial"
         if pool is not None:
-            pool.terminate()
+            _terminate_pool(pool, self.close_timeout_s)
             _join_pool_with_timeout(pool, self.close_timeout_s)
 
     def close(self) -> None:
@@ -972,7 +849,7 @@ class WorkerPool:
             return
         pool.close()
         if not _join_pool_with_timeout(pool, self.close_timeout_s):
-            pool.terminate()
+            _terminate_pool(pool, self.close_timeout_s)
             _join_pool_with_timeout(pool, self.close_timeout_s)
 
     def __enter__(self) -> "WorkerPool":
@@ -985,13 +862,11 @@ class WorkerPool:
 def run_sharded(shards: Sequence[Shard],
                 workers: Optional[int] = 1,
                 progress: Optional[Callable[[str], None]] = None,
-                start_method: Optional[str] = None,
                 cost_key: Optional[Callable[[Shard], float]] = None,
                 pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
                 max_retries: int = 2,
-                timeout_s: Optional[float] = None,
-                executor: Optional[Executor] = None
+                timeout_s: Optional[float] = None
                 ) -> ShardedRun:
     """Execute every shard and return results in submission order.
 
@@ -1007,8 +882,8 @@ def run_sharded(shards: Sequence[Shard],
     failing shard into a :class:`ShardError` result slot while every
     other shard's result survives, and ``'retry'`` re-executes failures
     up to ``max_retries`` times first (a retried shard is bit-identical
-    by the determinism contract).  ``timeout_s`` bounds each shard on
-    pool backends; hung workers are destroyed and the pool rebuilt.
+    by the determinism contract).  ``timeout_s`` bounds each shard on a
+    pool; hung workers are destroyed and the pool rebuilt.
 
     ``cost_key`` (optional) estimates a shard's relative cost; when a
     pool is used, shards are *submitted* in descending-cost order so the
@@ -1021,14 +896,11 @@ def run_sharded(shards: Sequence[Shard],
     throwaway per-call pool; the pool's worker count takes precedence
     over ``workers`` and the workers stay alive after the call (the
     caller owns shutdown).  Results are bit-identical either way — a
-    persistent pool only changes where process spin-up cost is paid.
+    persistent pool only changes where process spin-up cost is paid.  A
+    throwaway pool is closed before ``run_sharded`` returns or raises.
 
-    ``executor`` (optional) supplies an explicit :class:`Executor`
-    backend instead of the serial/pool choice made from ``workers``/
-    ``pool``; the caller owns its lifecycle (``run_sharded`` never
-    closes a passed-in executor).  A raising ``progress`` callback is
-    disarmed after its first failure and can never corrupt results —
-    telemetry is strictly write-only.
+    A raising ``progress`` callback is disarmed after its first failure
+    and can never corrupt results — telemetry is strictly write-only.
     """
     shards = list(shards)
     policy = ErrorPolicy(on_error=on_error, max_retries=max_retries,
@@ -1073,32 +945,22 @@ def run_sharded(shards: Sequence[Shard],
                           "progress messages (results are unaffected)",
                           RuntimeWarning, stacklevel=2)
 
-    own_executor: Optional[Executor] = None
-    if executor is None:
-        if n_workers > 1 and len(shards) > 1:
-            if pool is not None:
-                executor = PoolExecutor(pool=pool)
-            else:
-                executor = own_executor = PoolExecutor(
-                    workers=n_workers, start_method=start_method)
-        else:
-            executor = SerialExecutor()
-
-    # serial runs keep natural order (legacy behavior — results are
-    # index-keyed, so ordering is progress-message cosmetics only);
-    # everything else gets the cost-sorted submission order
-    if isinstance(executor, SerialExecutor):
-        order = list(range(len(shards)))
+    if n_workers == 1:
+        # serial runs keep natural order (results are index-keyed, so
+        # ordering is progress-message cosmetics only)
+        _execute_serially(list(enumerate(shards)), policy, _emit)
+        mode = "serial"
     else:
-        order = _submission_order(shards, cost_key)
-    tasks = [(i, shards[i]) for i in order]
-
-    try:
-        executor.execute(tasks, policy, _emit)
-        mode = executor.mode
-    finally:
-        if own_executor is not None:
-            own_executor.close()
+        tasks = [(i, shards[i]) for i in _submission_order(shards, cost_key)]
+        owned = pool is None
+        if owned:
+            pool = WorkerPool(n_workers)
+        try:
+            _execute_on_pool(pool, tasks, policy, _emit)
+            mode = pool.mode
+        finally:
+            if owned:
+                pool.close()
 
     return ShardedRun(
         results=results,

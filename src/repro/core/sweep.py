@@ -19,12 +19,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from collections import OrderedDict
+from typing import Callable, List, Optional, Tuple
 
 from .adaptive import AdaptiveConfig, execute_adaptive
 from .engine import Simulator
+from .interning import BoundedLRU
 from .parallel import (Shard, ShardError, WorkerPool, derive_seed,
                        get_context, run_sharded)
 from .tracing import TraceRecorder
@@ -122,39 +121,13 @@ class _DrawBank:
 #: per-process draw-bank registry.  Keyed by everything the draws depend
 #: on; pattern constructor seeds are irrelevant (split() replaces the
 #: RNG), so the class + layout + draw signature (parametrized patterns'
-#: knobs) identify the destination function.  The
-#: registry is LRU-bounded: banks grow with the deepest load point they
-#: served, so a long-lived worker cycling through many (seed, pattern)
-#: combinations must not keep them all.
-_DRAW_BANKS: "OrderedDict[Any, _DrawBank]" = OrderedDict()
-
-#: default cap on cached draw banks per process: one bank serves every
-#: network and every load point of a sweep, so even a multi-pattern
-#: figure needs only a handful live at once
-DEFAULT_DRAW_BANK_CACHE_LIMIT = 8
-_draw_bank_cache_limit = DEFAULT_DRAW_BANK_CACHE_LIMIT
-
-
-def draw_bank_cache_limit() -> int:
-    """Current LRU cap on the per-process draw-bank registry."""
-    return _draw_bank_cache_limit
-
-
-def set_draw_bank_cache_limit(limit: int) -> int:
-    """Set the draw-bank LRU cap (>= 1); evicts least-recently-used
-    banks immediately if over the new cap.  Returns the previous limit.
-    Eviction never affects results — a rebuilt bank replays the same
-    derived streams — only whether the next sweep pays the draws again."""
-    global _draw_bank_cache_limit
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("draw-bank cache limit must be >= 1, got %r"
-                         % (limit,))
-    previous = _draw_bank_cache_limit
-    _draw_bank_cache_limit = limit
-    while len(_DRAW_BANKS) > _draw_bank_cache_limit:
-        _DRAW_BANKS.popitem(last=False)
-    return previous
+#: knobs) identify the destination function.  The registry is
+#: LRU-bounded: banks grow with the deepest load point they served, so a
+#: long-lived worker cycling through many (seed, pattern) combinations
+#: must not keep them all.  One bank serves every network and every load
+#: point of a sweep, so even a multi-pattern figure needs only a handful
+#: live at once.
+_DRAW_BANKS = BoundedLRU(8)
 
 
 def _get_draw_bank(pattern: TrafficPattern, seed: int,
@@ -166,12 +139,7 @@ def _get_draw_bank(pattern: TrafficPattern, seed: int,
            getattr(pattern, "draw_signature", tuple)())
     bank = _DRAW_BANKS.get(key)
     if bank is None:
-        bank = _DrawBank(pattern, seed, num_sites)
-        _DRAW_BANKS[key] = bank
-        while len(_DRAW_BANKS) > _draw_bank_cache_limit:
-            _DRAW_BANKS.popitem(last=False)
-    else:
-        _DRAW_BANKS.move_to_end(key)
+        bank = _DRAW_BANKS[key] = _DrawBank(pattern, seed, num_sites)
     return bank
 
 

@@ -68,6 +68,9 @@ import warnings
 from itertools import accumulate
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
+from .interning import BoundedLRU
+from .parallel import _CONTEXTS
+
 try:  # pragma: no cover - exercised by CI's numpy-less tier-1 matrix
     import numpy as _np
 except ImportError:  # pragma: no cover
@@ -260,8 +263,10 @@ def warn_numpy_fallback(call_site: str, stacklevel: int = 3) -> None:
 #: per-process kernel scratch arenas, keyed by the warm-context
 #: fingerprint (repro.core.parallel._context_key): kernels reuse
 #: preallocated structures (calendar bucket arrays, ...) across the load
-#: points of a sweep instead of reallocating per point
-_SCRATCH: Dict[Any, dict] = {}
+#: points of a sweep instead of reallocating per point.  Capped like the
+#: warm contexts they serve, so a long-lived worker never keeps an arena
+#: per config it ever swept.
+_SCRATCH = BoundedLRU(_CONTEXTS.maxsize)
 
 
 def kernel_scratch(key: Any) -> dict:

@@ -224,7 +224,7 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
     Results can differ (slightly) from the fixed grids — that is the
     point: far fewer simulated events for a knee of equal-or-better
     offered-load resolution.  The fixed path stays the default
-    everywhere, and ``benchmarks/bench_sweep.py`` records the deltas.
+    everywhere; ``results/BENCH_PR4.json`` records the measured deltas.
 
     ``backend`` threads through to every probed load point.  With
     ``backend="vectorized"`` the checkpointed (adaptive) run is replayed

@@ -1,7 +1,7 @@
-"""Fault-injection tests for the executor layer (ISSUE 6).
+"""Fault-injection tests for the shard runner.
 
-Every backend must survive the three failure modes a long campaign hits
-in practice — a *raising* shard, a worker *killed* mid-flight
+Serial and pool execution must survive the three failure modes a long
+campaign hits in practice — a *raising* shard, a worker *killed* mid-flight
 (OOM/segfault, injected here via ``os.kill(..., SIGKILL)``), and a
 *hung* shard exceeding ``timeout_s`` — and the determinism contract must
 hold through recovery: with ``on_error='retry'`` a disturbed run's
@@ -9,6 +9,7 @@ results are bit-identical to an undisturbed serial run, proven
 differentially for all five photonic network architectures.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -18,9 +19,6 @@ import pytest
 
 from repro.core.parallel import (
     ErrorPolicy,
-    PoolExecutor,
-    RemoteExecutor,
-    SerialExecutor,
     Shard,
     ShardError,
     ShardExecutionError,
@@ -333,21 +331,63 @@ def test_worker_pool_pids_and_rebuild():
     pool.close()
 
 
-# -- executor layer -----------------------------------------------------------
+def test_worker_pool_rebuild_does_not_hang_on_missing_stop_sentinels():
+    """CPython's pool can send too few stop sentinels when a worker was
+    replaced just before terminate(), leaving a worker blocked on the
+    task pipe while terminate() waits for its read lock.  Hiding both
+    workers from the pool reproduces that state every time: rebuild()
+    must still return."""
+    pool = WorkerPool(2, close_timeout_s=0.5)
+    mp_pool = pool.acquire()
+    if mp_pool is None:
+        pytest.skip("platform cannot create worker pools")
+    hidden = list(mp_pool._pool)
+    del mp_pool._pool[:]  # the pool now sends no stop sentinel at all
+    try:
+        started = time.monotonic()
+        pool.rebuild()
+        assert time.monotonic() - started < 30
+    finally:
+        for proc in hidden:
+            proc.kill()
+            proc.join(5)
+    assert not any(proc.is_alive() for proc in hidden)
 
-def test_explicit_executors_agree():
-    shards = [Shard(_square, args=(i,)) for i in range(8)]
-    serial = run_sharded(shards, executor=SerialExecutor())
-    assert serial.results == [i * i for i in range(8)]
-    assert serial.mode == "serial"
-    with PoolExecutor(workers=2) as pooled_exec:
-        pooled = run_sharded(shards, workers=2, executor=pooled_exec)
-    assert pooled.results == serial.results
+
+# -- pool lifecycle across a raising run --------------------------------------
+
+def test_borrowed_pool_is_rebuilt_after_a_raising_run():
+    """A caller's pool outlives a run that raised: its old workers are
+    torn down (they may still hold abandoned shards) and the next call
+    on the same pool spawns fresh ones and returns correct results."""
+    with WorkerPool(2) as pool:
+        if pool.acquire() is None:
+            pytest.skip("platform cannot create worker pools")
+        pids = pool.worker_pids()
+        shards = [Shard(_square, args=(i,)) for i in range(6)]
+        shards[3] = Shard(_boom, args=(3,), label="boom3")
+        with pytest.raises(ValueError, match="boom 3"):
+            run_sharded(shards, pool=pool, on_error="raise")
+        assert pool.worker_pids() == ()
+        run = run_sharded([Shard(_square, args=(i,)) for i in range(6)],
+                          pool=pool)
+        assert run.results == [i * i for i in range(6)]
+        assert run.mode != "serial" and run.workers == 2
+        assert set(pool.worker_pids()).isdisjoint(pids)
 
 
-def test_remote_executor_is_documented_stub():
-    with pytest.raises(NotImplementedError, match="contract"):
-        RemoteExecutor(["host-a:9000", "host-b:9000"])
+def test_raising_run_leaves_no_worker_alive():
+    """The throwaway pool run_sharded creates for workers=2 is shut down
+    even when the run raises."""
+    if not _pool_available():
+        pytest.skip("platform cannot create worker pools")
+    before = {p.pid for p in multiprocessing.active_children()}
+    shards = [Shard(_square, args=(i,)) for i in range(6)]
+    shards[1] = Shard(_boom, args=(1,))
+    with pytest.raises(ValueError, match="boom 1"):
+        run_sharded(shards, workers=2, on_error="raise")
+    spawned = {p.pid for p in multiprocessing.active_children()} - before
+    assert spawned == set()
 
 
 # -- progress callback isolation (satellite 3) ---------------------------------

@@ -224,81 +224,81 @@ def test_cost_key_never_changes_results():
 # -- LRU-bounded per-process registries ---------------------------------------
 
 def test_context_cache_lru_cap():
-    from repro.core.parallel import (_CONTEXTS, clear_contexts,
-                                     context_cache_limit, get_context,
-                                     set_context_cache_limit)
+    from repro.core.parallel import _CONTEXTS, clear_contexts, get_context
 
     clear_contexts()
-    previous = set_context_cache_limit(2)
+    cap = _CONTEXTS.maxsize
     try:
-        c100 = get_context("point_to_point", CFG, warmup_ps=100)
-        get_context("point_to_point", CFG, warmup_ps=200)
-        get_context("point_to_point", CFG, warmup_ps=100)  # touch: now MRU
-        get_context("point_to_point", CFG, warmup_ps=300)  # evicts 200
-        assert len(_CONTEXTS) == 2
-        assert context_cache_limit() == 2
-        # the touched context survived; the LRU one was evicted
-        assert get_context("point_to_point", CFG, warmup_ps=100) is c100
-        rebuilt = get_context("point_to_point", CFG, warmup_ps=200)
-        assert rebuilt.uses == 1  # fresh construction, not a cache hit
-        with pytest.raises(ValueError, match="limit"):
-            set_context_cache_limit(0)
-    finally:
-        set_context_cache_limit(previous)
-        clear_contexts()
-
-
-def test_lowering_context_cache_limit_evicts_immediately():
-    from repro.core.parallel import (_CONTEXTS, clear_contexts,
-                                     get_context, set_context_cache_limit)
-
-    clear_contexts()
-    previous = set_context_cache_limit(8)
-    try:
-        for warmup in (100, 200, 300):
+        c1 = get_context("point_to_point", CFG, warmup_ps=1)
+        c2 = get_context("point_to_point", CFG, warmup_ps=2)
+        for warmup in range(3, cap + 2):
+            get_context("point_to_point", CFG, warmup_ps=1)  # keep 1 MRU
             get_context("point_to_point", CFG, warmup_ps=warmup)
-        set_context_cache_limit(1)
-        assert len(_CONTEXTS) == 1
+        # cap + 1 distinct contexts were built: the LRU one (2) went
+        assert len(_CONTEXTS) == cap
+        assert get_context("point_to_point", CFG, warmup_ps=1) is c1
+        rebuilt = get_context("point_to_point", CFG, warmup_ps=2)
+        assert rebuilt is not c2
+        assert rebuilt.uses == 1  # fresh construction, not a cache hit
+        assert len(_CONTEXTS) == cap
     finally:
-        set_context_cache_limit(previous)
         clear_contexts()
 
 
 def test_draw_bank_cache_lru_cap():
     from repro.core.sweep import (_DRAW_BANKS, _get_draw_bank,
-                                  clear_draw_banks, draw_bank_cache_limit,
-                                  set_draw_bank_cache_limit)
+                                  clear_draw_banks)
 
     pattern = UniformTraffic(CFG.layout)
     clear_draw_banks()
-    previous = set_draw_bank_cache_limit(2)
+    cap = _DRAW_BANKS.maxsize
     try:
         bank1 = _get_draw_bank(pattern, 1, CFG.num_sites)
         bank2 = _get_draw_bank(pattern, 2, CFG.num_sites)
-        _get_draw_bank(pattern, 1, CFG.num_sites)  # touch: seed 1 is MRU
-        _get_draw_bank(pattern, 3, CFG.num_sites)  # evicts seed 2
-        assert len(_DRAW_BANKS) == 2
-        assert draw_bank_cache_limit() == 2
+        for seed in range(3, cap + 2):
+            _get_draw_bank(pattern, 1, CFG.num_sites)  # keep seed 1 MRU
+            _get_draw_bank(pattern, seed, CFG.num_sites)
+        # cap + 1 distinct banks were built: the LRU one (seed 2) went
+        assert len(_DRAW_BANKS) == cap
         assert _get_draw_bank(pattern, 1, CFG.num_sites) is bank1
         assert _get_draw_bank(pattern, 2, CFG.num_sites) is not bank2
-        with pytest.raises(ValueError, match="limit"):
-            set_draw_bank_cache_limit(-1)
     finally:
-        set_draw_bank_cache_limit(previous)
         clear_draw_banks()
 
 
-def test_lru_eviction_never_changes_results():
+def test_kernel_scratch_is_capped_like_contexts():
+    """Scratch arenas are keyed by warm-context fingerprint and must
+    evict with the same cap, or a long-lived worker keeps one arena per
+    config it ever swept."""
+    from repro.core.parallel import _CONTEXTS
+    from repro.core.vectorized import (_SCRATCH, clear_kernel_scratch,
+                                       kernel_scratch)
+
+    clear_kernel_scratch()
+    cap = _CONTEXTS.maxsize
+    try:
+        first = kernel_scratch(("key", 0))
+        for i in range(1, cap + 8):
+            assert kernel_scratch(("key", 0)) is first  # kept MRU
+            kernel_scratch(("key", i))
+            assert len(_SCRATCH) <= cap
+        assert len(_SCRATCH) == cap
+        assert ("key", 0) in _SCRATCH and ("key", 1) not in _SCRATCH
+    finally:
+        clear_kernel_scratch()
+
+
+def test_lru_eviction_never_changes_results(monkeypatch):
     """Warm results under a cap of 1 (maximum eviction churn across
     alternating seeds) must equal cold construction exactly."""
-    from repro.core.parallel import (clear_contexts, set_context_cache_limit)
-    from repro.core.sweep import clear_draw_banks, set_draw_bank_cache_limit
+    from repro.core.parallel import _CONTEXTS, clear_contexts
+    from repro.core.sweep import _DRAW_BANKS, clear_draw_banks
 
     pattern = UniformTraffic(CFG.layout)
     clear_contexts()
     clear_draw_banks()
-    prev_ctx = set_context_cache_limit(1)
-    prev_bank = set_draw_bank_cache_limit(1)
+    monkeypatch.setattr(_CONTEXTS, "maxsize", 1)
+    monkeypatch.setattr(_DRAW_BANKS, "maxsize", 1)
     try:
         cold = [run_load_point(net, CFG, pattern, 0.05, window_ns=100.0,
                                seed=seed, warm=False)
@@ -309,9 +309,8 @@ def test_lru_eviction_never_changes_results():
                 for seed in (7, 11) for net in ("point_to_point",
                                                 "token_ring")]
         assert warm == cold
+        assert len(_CONTEXTS) == 1 and len(_DRAW_BANKS) == 1
     finally:
-        set_context_cache_limit(prev_ctx)
-        set_draw_bank_cache_limit(prev_bank)
         clear_contexts()
         clear_draw_banks()
 
