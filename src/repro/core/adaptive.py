@@ -8,7 +8,9 @@ sweep harness simulate dramatically fewer events for the same curves:
 
 * :class:`AdaptiveConfig` + :func:`execute_adaptive` — step
   ``Simulator.run`` in horizon *slices* and evaluate stop rules at every
-  checkpoint:
+  checkpoint.  The rules live once, in :class:`StopRules`, which both
+  backends feed counter snapshots (the numpy backend reads them off its
+  kernel arrays):
 
   - **convergence stop**: a batch-means relative-precision test on mean
     delivered latency.  Each inter-checkpoint span of post-warmup
@@ -51,11 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "AdaptiveConfig",
     "KneeResult",
+    "StopRules",
     "execute_adaptive",
     "refine_knee",
 ]
@@ -147,6 +150,130 @@ class AdaptiveConfig:
         return replace(self, convergence_stop=False, saturation_abort=False)
 
 
+class StopRules:
+    """The adaptive stop rules, fed counter snapshots at each checkpoint.
+
+    One instance serves one load point on either backend:
+    :func:`execute_adaptive` reads the snapshots off the live
+    :class:`~repro.core.stats.NetworkStats`, the numpy backend off its
+    kernel's sorted delivery arrays.  Both feed :meth:`check` the same
+    integers at the same :meth:`checkpoints`, so both reach the same
+    stop decision.  Every counter starts at 0: stats are fresh (or reset)
+    at the start of every run.  The queue-empty test stays with the
+    callers, because each backend observes it differently.
+    """
+
+    def __init__(self, cfg: AdaptiveConfig, inject_window_ps: int,
+                 horizon_ps: int, warmup_ps: int,
+                 saturation_threshold: float,
+                 planned_injections: int) -> None:
+        self.cfg = cfg
+        self.slice_ps = max(1, int(inject_window_ps * cfg.slice_fraction))
+        self.inject_window_ps = inject_window_ps
+        self.horizon_ps = horizon_ps
+        self.warmup_ps = warmup_ps
+        self.planned = planned_injections
+        # the fixed path declares saturation when the end-of-drain backlog
+        # exceeds this many packets (delivered < threshold * injected)
+        self.sat_deficit = (1.0 - saturation_threshold) * planned_injections
+        # convergence state: batch means of delivered latency between
+        # checkpoints (post-warmup, non-empty batches only)
+        self.batch_means: List[float] = []
+        self.prev_count = 0
+        self.prev_sum = 0
+        # fast-abort state: backlog trajectory + last-slice delivery rate
+        self.prev_backlog: Optional[int] = None
+        self.prev_delivered = 0
+        self.streak = 0
+
+    def checkpoints(self) -> Iterator[int]:
+        """The checkpoint times: every ``slice_ps`` up to the horizon."""
+        now = 0
+        while now < self.horizon_ps:
+            now = min(now + self.slice_ps, self.horizon_ps)
+            yield now
+
+    def check(self, now: int, injected: int, delivered: int,
+              latency_count: int, latency_sum: int) -> Optional[str]:
+        """``'saturated'``, ``'converged'`` or None at checkpoint ``now``.
+
+        ``injected``/``delivered`` are the packet counters and
+        ``latency_count``/``latency_sum`` the latency sample's count and
+        sum (ps), all as of ``now``.
+        """
+        cfg = self.cfg
+        window = self.inject_window_ps
+        past_warmup = now > self.warmup_ps
+        backlog = injected - delivered
+        # shared projection state: the measured per-slice delivery rate,
+        # the injections still to come (known up front — injection is
+        # open-loop), and the time left in each phase
+        delivery_rate = (delivered - self.prev_delivered) / self.slice_ps
+        remaining = self.planned - injected
+        inject_left = max(0, window - now)
+        drain_left = self.horizon_ps - max(now, window)
+
+        if cfg.saturation_abort and past_warmup:
+            # project the legacy verdict: will the end-of-drain backlog
+            # clear the saturation deficit?  Only a projection over the
+            # deficit with margin counts toward the abort streak.  The
+            # remaining drain time is credited at drain_rate_factor x
+            # the measured rate even mid-drain: contention can take a
+            # sizable fraction of the drain to dissipate (the limited
+            # point-to-point network holds its in-window rate for half
+            # the drain, then doubles), and extrapolating the not-yet-
+            # accelerated rate is what turns a clearable backlog into a
+            # false abort
+            capacity = (delivery_rate * inject_left
+                        + cfg.drain_rate_factor * delivery_rate
+                        * drain_left)
+            if now <= window:
+                # while injecting, only a strictly growing backlog
+                # counts toward the streak
+                growing = (self.prev_backlog is not None
+                           and backlog > self.prev_backlog)
+            else:
+                # in the drain the backlog shrinks by construction, so
+                # the projection alone gates it
+                growing = True
+            proven = (
+                injected >= cfg.min_abort_injected
+                and backlog + remaining - capacity
+                > cfg.abort_margin * self.sat_deficit)
+            self.streak = self.streak + 1 if (proven and growing) else 0
+            if self.streak >= cfg.abort_streak:
+                return "saturated"
+
+        self.prev_backlog = backlog
+        self.prev_delivered = delivered
+
+        if (cfg.convergence_stop and past_warmup
+                and self.planned >= cfg.min_converge_planned):
+            delta_n = latency_count - self.prev_count
+            if delta_n > 0:
+                batch_means = self.batch_means
+                batch_means.append((latency_sum - self.prev_sum) / delta_n)
+                self.prev_count, self.prev_sum = latency_count, latency_sum
+                # the projection gate keeps borderline points honest: a
+                # converged mean only ends the run if the drain provably
+                # clears the whole backlog *at the measured rate, with no
+                # drain-acceleration credit* — the conservative mirror
+                # image of the fast-abort (which needs the credited
+                # projection to *exceed* the deficit with margin, so the
+                # two rules can never claim the same checkpoint)
+                clears = (backlog + remaining
+                          - delivery_rate * (inject_left + drain_left)
+                          <= 0.0)
+                if len(batch_means) >= cfg.min_batches and clears:
+                    k = len(batch_means)
+                    grand = sum(batch_means) / k
+                    var = sum((b - grand) ** 2 for b in batch_means) / (k - 1)
+                    half_width = cfg.confidence_z * math.sqrt(var / k)
+                    if grand > 0 and half_width <= cfg.rel_precision * grand:
+                        return "converged"
+        return None
+
+
 def execute_adaptive(sim,
                      stats,
                      inject_window_ps: int,
@@ -158,8 +285,9 @@ def execute_adaptive(sim,
 
     ``stats`` is the network's :class:`~repro.core.stats.NetworkStats`;
     the latency sample and packet counters it accumulates *are* the
-    checkpoint state — no extra instrumentation runs between checkpoints,
-    so the dispatched event stream is identical to an uninterrupted run.
+    checkpoint state fed to :class:`StopRules` — no extra
+    instrumentation runs between checkpoints, so the dispatched event
+    stream is identical to an uninterrupted run.
     ``planned_injections`` is the total packet count the injectors will
     schedule over the window (known up front: injection is open-loop),
     which anchors the fast-abort's projection of the legacy verdict.
@@ -180,105 +308,22 @@ def execute_adaptive(sim,
     single-shot run (``stopped_at_ps == horizon_ps``); for early stops it
     is the checkpoint time at which the rule fired.
     """
-    slice_ps = max(1, int(inject_window_ps * cfg.slice_fraction))
-    warmup_ps = stats.throughput.warmup_ps
+    rules = StopRules(cfg, inject_window_ps, horizon_ps,
+                      stats.throughput.warmup_ps, saturation_threshold,
+                      planned_injections)
+    latency = stats.latency
     events = 0
-
-    # the fixed path declares saturation when the end-of-drain backlog
-    # exceeds this many packets (delivered < threshold * injected)
-    sat_deficit = (1.0 - saturation_threshold) * planned_injections
-
-    # convergence state: batch means of delivered latency between
-    # checkpoints (post-warmup, non-empty batches only)
-    batch_means: List[float] = []
-    prev_count = stats.latency.count
-    prev_sum = stats.latency.sum_ps
-
-    # fast-abort state: backlog trajectory + last-slice delivery rate
-    prev_backlog: Optional[int] = None
-    prev_delivered = stats.delivered_packets
-    streak = 0
-
-    now = 0
-    while now < horizon_ps:
-        now = min(now + slice_ps, horizon_ps)
+    for now in rules.checkpoints():
         events += sim.run(until_ps=now)
-
         if sim.pending() == 0:
             # all injections fired and every packet delivered: the legacy
             # single-shot run would have returned here too
             return events, "drained", horizon_ps
-
-        past_warmup = now > warmup_ps
-        backlog = stats.in_flight
-        delivered = stats.delivered_packets
-        # shared projection state: the measured per-slice delivery rate,
-        # the injections still to come (known up front — injection is
-        # open-loop), and the time left in each phase
-        delivery_rate = (delivered - prev_delivered) / slice_ps
-        remaining = planned_injections - stats.injected_packets
-        inject_left = max(0, inject_window_ps - now)
-        drain_left = horizon_ps - max(now, inject_window_ps)
-
-        if cfg.saturation_abort and past_warmup:
-            # project the legacy verdict: will the end-of-drain backlog
-            # clear the saturation deficit?  Only a projection over the
-            # deficit with margin counts toward the abort streak.  The
-            # remaining drain time is credited at drain_rate_factor x
-            # the measured rate even mid-drain: contention can take a
-            # sizable fraction of the drain to dissipate (the limited
-            # point-to-point network holds its in-window rate for half
-            # the drain, then doubles), and extrapolating the not-yet-
-            # accelerated rate is what turns a clearable backlog into a
-            # false abort
-            capacity = (delivery_rate * inject_left
-                        + cfg.drain_rate_factor * delivery_rate
-                        * drain_left)
-            if now <= inject_window_ps:
-                # while injecting, only a strictly growing backlog
-                # counts toward the streak
-                growing = prev_backlog is not None and backlog > prev_backlog
-            else:
-                # in the drain the backlog shrinks by construction, so
-                # the projection alone gates it
-                growing = True
-            proven = (
-                stats.injected_packets >= cfg.min_abort_injected
-                and backlog + remaining - capacity
-                > cfg.abort_margin * sat_deficit)
-            streak = streak + 1 if (proven and growing) else 0
-            if streak >= cfg.abort_streak:
-                return events, "saturated", now
-
-        prev_backlog = backlog
-        prev_delivered = delivered
-
-        if (cfg.convergence_stop and past_warmup
-                and planned_injections >= cfg.min_converge_planned):
-            count = stats.latency.count
-            delta_n = count - prev_count
-            if delta_n > 0:
-                total = stats.latency.sum_ps
-                batch_means.append((total - prev_sum) / delta_n)
-                prev_count, prev_sum = count, total
-                # the projection gate keeps borderline points honest: a
-                # converged mean only ends the run if the drain provably
-                # clears the whole backlog *at the measured rate, with no
-                # drain-acceleration credit* — the conservative mirror
-                # image of the fast-abort (which needs the credited
-                # projection to *exceed* the deficit with margin, so the
-                # two rules can never claim the same checkpoint)
-                clears = (backlog + remaining
-                          - delivery_rate * (inject_left + drain_left)
-                          <= 0.0)
-                if len(batch_means) >= cfg.min_batches and clears:
-                    k = len(batch_means)
-                    grand = sum(batch_means) / k
-                    var = sum((b - grand) ** 2 for b in batch_means) / (k - 1)
-                    half_width = cfg.confidence_z * math.sqrt(var / k)
-                    if grand > 0 and half_width <= cfg.rel_precision * grand:
-                        return events, "converged", now
-
+        reason = rules.check(now, stats.injected_packets,
+                             stats.delivered_packets, latency.count,
+                             latency.sum_ps)
+        if reason is not None:
+            return events, reason, now
     return events, "horizon", horizon_ps
 
 

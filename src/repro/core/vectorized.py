@@ -12,11 +12,11 @@ of arbitration state.  This module exploits that:
   blocked streams, so the schedules are bit-identical by construction)
   are turned into absolute per-site arrival arrays once, instead of one
   ``schedule()`` call per packet.
-* **Bulk kernels for contention-free spans.**  Networks whose only
-  shared resource is a per-pair FIFO channel (point-to-point, the
-  electrical baseline) never need an event loop at all: per-channel
-  delivery times follow the closed-form recurrence
-  ``finish_i = max(t_i, finish_{i-1}) + tx``, evaluated for every packet
+* **One bulk kernel for the FIFO-channel networks.**  Networks whose
+  only shared resource is a per-pair FIFO channel (point-to-point, the
+  electrical baseline behind its SerDes stage) never need an event loop
+  at all: :func:`fifo_channel_kernel` evaluates the closed-form
+  recurrence ``finish_i = max(t_i, finish_{i-1}) + tx`` for every packet
   at once with a segmented cumulative maximum.
 * **Replay loops with batched terminal delivers** for the arbitrated
   networks (two-phase, token ring, circuit switched, limited
@@ -36,19 +36,20 @@ of arbitration state.  This module exploits that:
   bucket is sorted once at dispatch time, replacing per-event heap
   churn with C-level ``list.sort`` while preserving the exact
   ``(time, seq)`` dispatch order.
-* **Checkpointed (adaptive) execution replayed from arrays.**  An
+* **Checkpointed (adaptive) execution from arrays.**  An
   ``adaptive=`` run's stop rules read only monotone counters (injected/
   delivered counts, the latency sample's count and sum) at fixed
   checkpoint times; :func:`_run_adaptive` recovers every checkpoint
   snapshot from the kernel's delivery arrays with ``searchsorted`` and
-  replays :func:`repro.core.adaptive.execute_adaptive`'s decision loop
-  float-for-float, so stop reasons, stop times, knees and early-stop
-  results are bit-identical to the scalar adaptive path.
+  feeds them to the scalar path's own
+  :class:`~repro.core.adaptive.StopRules`, so stop reasons, stop times,
+  knees and early-stop results are bit-identical to the scalar adaptive
+  path.
 
 Every network the sweeps drive — HERMES's snoopy broadcast included —
-has a registered kernel; ``fallback_networks()`` is empty.  The backend
-is **opt-in** (``run_load_point(..., backend="vectorized")``) and falls
-back to the scalar engine — silently, with identical results — whenever
+has a registered kernel.  The backend is **opt-in**
+(``run_load_point(..., backend="vectorized")``) and falls back to the
+scalar engine — silently, with identical results — whenever
 exactness would require the real event loop: a tracer is attached,
 invariant checking is on, the legacy ``rng_block=0`` draw path is
 selected, numpy is unavailable, or the network has no registered
@@ -65,11 +66,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from itertools import accumulate
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .interning import BoundedLRU
 from .parallel import _CONTEXTS
+from .units import serialization_ps
 
 try:  # pragma: no cover - exercised by CI's numpy-less tier-1 matrix
     import numpy as _np
@@ -113,10 +116,6 @@ def require_numpy() -> None:
 #: :class:`InjectionPlan` — and returns a :class:`KernelOutput`.
 _KERNELS: Dict[str, Callable[..., "KernelOutput"]] = {}
 
-#: network-key -> human-readable reason for networks that deliberately
-#: have no kernel and always use the scalar engine
-_FALLBACKS: Dict[str, str] = {}
-
 
 def register_kernel(name: str):
     """Class of decorators: ``@register_kernel("point_to_point")``."""
@@ -128,19 +127,9 @@ def register_kernel(name: str):
     return deco
 
 
-def register_fallback(name: str, reason: str) -> None:
-    """Declare that ``name`` intentionally has no vectorized kernel."""
-    _FALLBACKS[name] = reason
-
-
 def vectorized_networks() -> List[str]:
     """Sorted network keys with a registered bulk/replay kernel."""
     return sorted(_KERNELS)
-
-
-def fallback_networks() -> Dict[str, str]:
-    """Networks that declared a deliberate scalar fallback, with why."""
-    return dict(_FALLBACKS)
 
 
 class KernelOutput(NamedTuple):
@@ -312,8 +301,8 @@ def try_run_vectorized(network_name: str,
     pass ``backend=`` through unconditionally.
 
     ``adaptive`` (an :class:`~repro.core.adaptive.AdaptiveConfig`) runs
-    the checkpointed executor's decision loop over the kernel's arrays
-    (see :func:`_run_adaptive`) — stop reasons, stop times and results
+    the scalar path's stop rules over the kernel's arrays (see
+    :func:`_run_adaptive`) — stop reasons, stop times and results
     bit-identical to the scalar adaptive path.
     """
     if np is None:
@@ -364,13 +353,14 @@ def _assemble_result(network_name: str, pattern_name: str,
     operation — integer sums, ``(sum / n) / 1000.0`` mean, nearest-rank
     percentile over sorted *distinct* values, ``bytes * 1000.0 /
     max(1, last - warmup)`` throughput — so the floats come out
-    bit-equal, not merely close.
+    bit-equal, not merely close.  The measurement window is
+    ``[warmup, min(window_end, horizon)]``: a plan truncated at an
+    adaptive stop time ends before the injection window does.
     """
     from .sweep import LoadPointResult
 
     horizon = plan.horizon_ps
     warmup = plan.warmup_ps
-    window_end = plan.window_end_ps
 
     dt = np.asarray(out.deliver_t, dtype=np.int64)
     di = np.asarray(out.deliver_inject, dtype=np.int64)
@@ -380,18 +370,14 @@ def _assemble_result(network_name: str, pattern_name: str,
     p99 = float("nan")
     throughput = 0.0
     if dt.size:
-        dispatched = dt <= horizon
-        delivered = int(dispatched.sum())
+        delivered = int((dt <= horizon).sum())
         if delivered < dt.size:
             pending = True
-        # measurement window [warmup, window_end]; window_end <= horizon
-        # always (drain_factor >= 0), so in-window implies dispatched
-        in_window = (dt >= warmup) & (dt <= window_end)
+        in_window = (dt >= warmup) & (dt <= min(plan.window_end_ps, horizon))
         n_in = int(in_window.sum())
         if n_in:
             lat = dt[in_window] - di[in_window]
-            lat_sum = int(lat.sum())
-            mean_lat = (lat_sum / n_in) / 1000.0
+            mean_lat = (int(lat.sum()) / n_in) / 1000.0
             rank = max(1, int(math.ceil(99.0 / 100.0 * n_in)))
             values, counts = np.unique(lat, return_counts=True)
             cum = np.cumsum(counts)
@@ -422,44 +408,40 @@ def _run_adaptive(network_name: str, pattern_name: str,
                   offered_fraction: float, packet_bytes: int,
                   plan: InjectionPlan, out: KernelOutput, kernel, net,
                   cfg, saturation_threshold: float):
-    """Replay the checkpointed executor's decision loop over kernel output.
+    """Run the adaptive stop rules over kernel output.
 
     The scalar adaptive path (:func:`repro.core.adaptive.execute_adaptive`)
-    steps the simulator in horizon slices and evaluates its stop rules
-    from monotone counters: injected/delivered packet counts, the
-    latency collector's count and sum, and the queue-empty test.  All of
-    those are pure functions of *which events have dispatched by the
-    checkpoint time* — so instead of stepping an event loop, this
-    replays the decision loop over the kernel's arrays: per-checkpoint
-    counter snapshots come from ``searchsorted`` on the sorted delivery/
-    injection times, and every float expression is evaluated in exactly
-    the order the scalar executor evaluates it, so the stop decisions
-    (reason *and* checkpoint) are bit-identical.
+    steps the simulator in horizon slices and feeds
+    :class:`~repro.core.adaptive.StopRules` monotone counters:
+    injected/delivered packet counts and the latency collector's count
+    and sum.  All of those are pure functions of *which events have
+    dispatched by the checkpoint time*, so here the snapshots come from
+    ``searchsorted`` on the sorted delivery/injection times, and the
+    same rules object makes the same stop decisions (reason *and*
+    checkpoint).
 
     When no rule fires the run is exactly the fixed-window run (the
     scalar executor's slicing dispatches the same events in the same
     order), so the ordinary assembler produces the result.  When a rule
-    fires at checkpoint ``c``, the early-stop result needs the event
-    count the scalar run would have dispatched by ``c`` — the kernel is
-    re-run with ``horizon_ps = c``: dispatch order is a pure function of
+    fires at checkpoint ``c``, the kernel is re-run with
+    ``horizon_ps = c``: dispatch order is a pure function of
     ``(time, seq)``, so the events at or before ``c`` are a prefix and
-    the truncated replay dispatches exactly them.
+    the truncated replay dispatches exactly them — the assembler then
+    folds the stop-time statistics from its output.
     """
+    from .adaptive import StopRules
+
     horizon = plan.horizon_ps
-    window = plan.window_end_ps
-    warmup = plan.warmup_ps
-    planned = plan.num_sites * plan.pps
-    slice_ps = max(1, int(window * cfg.slice_fraction))
+    rules = StopRules(cfg, plan.window_end_ps, horizon, plan.warmup_ps,
+                      saturation_threshold, plan.num_sites * plan.pps)
 
     dt = np.asarray(out.deliver_t, dtype=np.int64)
     di = np.asarray(out.deliver_inject, dtype=np.int64)
     order = np.argsort(dt, kind="stable")
     dt_sorted = dt[order]
-    lat_sorted = (dt - di)[order]
-    in_win = (dt_sorted >= warmup) & (dt_sorted <= window)
+    in_win = (dt_sorted >= plan.warmup_ps) & (dt_sorted <= plan.window_end_ps)
     win_dt = dt_sorted[in_win]  # ascending: latency-collector feed order
-    win_lat = lat_sorted[in_win]
-    win_cum = np.cumsum(win_lat)
+    win_cum = np.concatenate(([0], np.cumsum((dt - di)[order][in_win])))
     inj_sorted = np.sort(np.concatenate(plan.site_times_np)) \
         if plan.num_sites else np.empty(0, dtype=np.int64)
 
@@ -471,128 +453,127 @@ def _run_adaptive(network_name: str, pattern_name: str,
         empty_at = max(out.last_event_ps,
                        int(dt_sorted[-1]) if dt.size else 0)
 
-    sat_deficit = (1.0 - saturation_threshold) * planned
-    batch_means: List[float] = []
-    prev_count = 0
-    prev_sum = 0
-    prev_backlog: Optional[int] = None
-    prev_delivered = 0
-    streak = 0
-    stop_reason = None
-    now = 0
-    while now < horizon:
-        now = min(now + slice_ps, horizon)
+    times = np.fromiter(rules.checkpoints(), dtype=np.int64)
+    counts = np.searchsorted(win_dt, times, side="right")
+    snapshots = zip(times.tolist(),
+                    np.searchsorted(inj_sorted, times, side="right").tolist(),
+                    np.searchsorted(dt_sorted, times, side="right").tolist(),
+                    counts.tolist(), win_cum[counts].tolist())
+    for now, injected, delivered, count, total in snapshots:
         if empty_at is not None and empty_at <= now:
             # queue empty at this checkpoint: the scalar executor
-            # returns ('drained', horizon) with the full event count —
-            # exactly the fixed-window result
-            return _assemble_result(network_name, pattern_name,
-                                    offered_fraction, packet_bytes, plan,
-                                    out, saturation_threshold)
-
-        delivered = int(np.searchsorted(dt_sorted, now, side="right"))
-        injected_now = int(np.searchsorted(inj_sorted, now, side="right"))
-        past_warmup = now > warmup
-        backlog = injected_now - delivered
-        delivery_rate = (delivered - prev_delivered) / slice_ps
-        remaining = planned - injected_now
-        inject_left = max(0, window - now)
-        drain_left = horizon - max(now, window)
-
-        if cfg.saturation_abort and past_warmup:
-            capacity = (delivery_rate * inject_left
-                        + cfg.drain_rate_factor * delivery_rate
-                        * drain_left)
-            if now <= window:
-                growing = prev_backlog is not None and backlog > prev_backlog
-            else:
-                growing = True
-            proven = (
-                injected_now >= cfg.min_abort_injected
-                and backlog + remaining - capacity
-                > cfg.abort_margin * sat_deficit)
-            streak = streak + 1 if (proven and growing) else 0
-            if streak >= cfg.abort_streak:
-                stop_reason = "saturated"
-                break
-
-        prev_backlog = backlog
-        prev_delivered = delivered
-
-        if (cfg.convergence_stop and past_warmup
-                and planned >= cfg.min_converge_planned):
-            count = int(np.searchsorted(win_dt, now, side="right"))
-            delta_n = count - prev_count
-            if delta_n > 0:
-                total = int(win_cum[count - 1]) if count else 0
-                batch_means.append((total - prev_sum) / delta_n)
-                prev_count, prev_sum = count, total
-                clears = (backlog + remaining
-                          - delivery_rate * (inject_left + drain_left)
-                          <= 0.0)
-                if len(batch_means) >= cfg.min_batches and clears:
-                    k = len(batch_means)
-                    grand = sum(batch_means) / k
-                    var = sum((b - grand) ** 2
-                              for b in batch_means) / (k - 1)
-                    half_width = cfg.confidence_z * math.sqrt(var / k)
-                    if grand > 0 and half_width <= cfg.rel_precision * grand:
-                        stop_reason = "converged"
-                        break
-
-    if stop_reason is None:
-        # no rule fired and the queue never emptied at a checkpoint: the
-        # scalar executor returns ('horizon', horizon) having dispatched
-        # every in-horizon event — the fixed-window result again
-        return _assemble_result(network_name, pattern_name,
-                                offered_fraction, packet_bytes, plan,
-                                out, saturation_threshold)
-
-    # early stop at checkpoint `now`: re-run the kernel truncated at the
-    # stop time for the prefix event count, and read the stop-time stats
-    # snapshots off the same sorted arrays
-    from .sweep import LoadPointResult
-
-    truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
-                              now, warmup, window,
-                              plan.site_gaps, plan.site_dsts,
-                              scratch=plan.scratch)
-    delivered = int(np.searchsorted(dt_sorted, now, side="right"))
-    injected_now = int(np.searchsorted(inj_sorted, now, side="right"))
-    events = kernel(net, truncated).heap_events + delivered
-
-    count = int(np.searchsorted(win_dt, now, side="right"))
-    mean_lat = float("nan")
-    p99 = float("nan")
-    throughput = 0.0
-    if count:
-        lat_sum = int(win_cum[count - 1])
-        mean_lat = (lat_sum / count) / 1000.0
-        rank = max(1, int(math.ceil(99.0 / 100.0 * count)))
-        values, counts = np.unique(win_lat[:count], return_counts=True)
-        cum = np.cumsum(counts)
-        p99 = int(values[int(np.searchsorted(cum, rank))]) / 1000.0
-        last = int(win_dt[count - 1])
-        throughput = (count * packet_bytes) * 1000.0 / max(1, last - warmup)
-
-    return LoadPointResult(
-        network=network_name,
-        pattern=pattern_name,
-        offered_fraction=offered_fraction,
-        mean_latency_ns=mean_lat,
-        p99_latency_ns=p99,
-        throughput_gb_per_s=throughput,
-        delivered_packets=delivered,
-        injected_packets=injected_now,
-        saturated=stop_reason == "saturated",
-        events_dispatched=events,
-        stop_reason=stop_reason,
-        stopped_at_ps=now,
-    )
+            # returns ('drained', horizon) with the full event count
+            break
+        reason = rules.check(now, injected, delivered, count, total)
+        if reason is not None:
+            truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
+                                      now, plan.warmup_ps, plan.window_end_ps,
+                                      plan.site_gaps, plan.site_dsts,
+                                      scratch=plan.scratch)
+            result = _assemble_result(network_name, pattern_name,
+                                      offered_fraction, packet_bytes,
+                                      truncated, kernel(net, truncated),
+                                      saturation_threshold)
+            return replace(result, saturated=reason == "saturated",
+                           stop_reason=reason)
+    # the queue emptied, or no rule fired before the horizon: the
+    # scalar executor dispatched every in-horizon event — the
+    # fixed-window result
+    return _assemble_result(network_name, pattern_name, offered_fraction,
+                            packet_bytes, plan, out, saturation_threshold)
 
 
-def fifo_channel_delivery(np_mod, key, t, tx: int, prop):
-    """Closed-form per-channel FIFO service for channel networks.
+def fifo_channel_kernel(net, plan: InjectionPlan,
+                        stage_ps: Optional[int]) -> KernelOutput:
+    """Bulk kernel for networks of per-pair FIFO channels.
+
+    Serves point-to-point (``stage_ps=None``) and the electrical
+    baseline (``stage_ps`` = its SerDes latency): each site owns one
+    channel per destination, so the network has no shared state and the
+    whole load point runs without an event loop.  ``net`` provides
+    ``_num_sites``, ``channel_gb_per_s`` and ``config``.
+
+    * ``stage_ps=None``: a packet is sent at its injection time, so the
+      heap only ever holds the injector chain — delivers are terminal.
+    * ``stage_ps=s``: one more heap event per off-site packet, the send
+      at ``t_inject + s``.  A send past the horizon never dispatches, so
+      its channel send (and delivery) never exists, which the per-site
+      ``searchsorted`` on the shifted times reproduces.
+
+    Loopback packets skip the network (and the stage) at the electrical
+    loopback latency.  A site's injection times strictly increase (gaps
+    are >= 1 ps) and the stage shifts them by a constant, so per-channel
+    dispatch order is per-site index order and :func:`_fifo_deliveries`
+    yields every delivery time at once.
+    """
+    n = net._num_sites
+    tx = serialization_ps(plan.packet_bytes, net.channel_gb_per_s)
+    prop = np.asarray(pair_propagation_table(net.config.layout),
+                      dtype=np.int64)
+    loop_ps = net.config.loopback_latency_ps
+    horizon = plan.horizon_ps
+
+    key_parts = []
+    send_parts = []
+    inject_parts = []
+    deliver_t = []
+    deliver_i = []
+    injected = 0
+    stage_events = 0
+    pending = False
+    last_event = 0
+    for site in range(n):
+        times = plan.site_times_np[site]
+        m = int(np.searchsorted(times, horizon, side="right"))
+        injected += m
+        if m < plan.pps:
+            pending = True  # next injector event sits past the horizon
+        if m == 0:
+            continue
+        last_event = max(last_event, int(times[m - 1]))
+        t = times[:m]
+        d = np.asarray(plan.site_dsts[site][:m], dtype=np.int64)
+        self_mask = d == site
+        if self_mask.any():
+            ts = t[self_mask]
+            deliver_t.append(ts + loop_ps)  # electrical loopback
+            deliver_i.append(ts)
+            t = t[~self_mask]
+            d = d[~self_mask]
+        send = t
+        if stage_ps is not None:
+            send = t + stage_ps
+            started = int(np.searchsorted(send, horizon, side="right"))
+            stage_events += started
+            if started < send.shape[0]:
+                pending = True  # undispatched stage events in the heap
+            if started == 0:
+                continue
+            last_event = max(last_event, int(send[started - 1]))
+            send, t, d = send[:started], t[:started], d[:started]
+        key_parts.append(site * n + d)
+        send_parts.append(send)
+        inject_parts.append(t)
+
+    if key_parts:
+        key = np.concatenate(key_parts)
+        if key.size:
+            dt, order = _fifo_deliveries(key, np.concatenate(send_parts),
+                                         tx, prop)
+            deliver_t.append(dt)
+            deliver_i.append(np.concatenate(inject_parts)[order])
+    empty = np.empty(0, dtype=np.int64)
+    return KernelOutput(
+        heap_events=injected + stage_events,
+        heap_pending=pending,
+        deliver_t=np.concatenate(deliver_t) if deliver_t else empty,
+        deliver_inject=np.concatenate(deliver_i) if deliver_i else empty,
+        injected=injected,
+        last_event_ps=last_event)
+
+
+def _fifo_deliveries(key, t, tx: int, prop):
+    """Closed-form per-channel FIFO service.
 
     ``key`` assigns each send to its channel, ``t`` is the send time
     (both int64 arrays in any order), ``tx`` the (shared) serialization
@@ -609,7 +590,6 @@ def fifo_channel_delivery(np_mod, key, t, tx: int, prop):
     once.  The stable sort preserves each channel's dispatch order
     (send times are non-decreasing per channel by construction).
     """
-    np = np_mod
     order = np.argsort(key, kind="stable")
     sk = key[order]
     st = t[order]

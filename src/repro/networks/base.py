@@ -227,7 +227,7 @@ class InterSiteNetwork:
     def inject(self, packet: Packet) -> None:
         """Accept a packet for delivery.  Subclasses route it."""
         packet.t_inject = self.sim.now
-        self.stats.injected_packets += 1  # inlined NetworkStats.on_inject
+        self.stats.injected_packets += 1
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, tracing.INJECT, pid=packet.pid,
                              src=packet.src, dst=packet.dst,

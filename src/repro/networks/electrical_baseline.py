@@ -27,9 +27,8 @@ from typing import List, Optional
 
 from .base import Channel, InterSiteNetwork, Packet
 from ..core.engine import Simulator
-from ..core.units import serialization_ps
-from ..core.vectorized import (KernelOutput, fifo_channel_delivery,
-                               pair_propagation_table, register_kernel)
+from ..core.vectorized import (KernelOutput, fifo_channel_kernel,
+                               register_kernel)
 from ..macrochip.config import MacrochipConfig
 
 
@@ -57,7 +56,8 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
         n = config.num_sites
         self.site_bandwidth_gb_per_s = site_bandwidth_gb_per_s
         #: per-pair channel: the pin budget divided over all destinations
-        self.channel_gb_per_s = max(site_bandwidth_gb_per_s / (n - 1),
+        #: (a 1-site grid has none: all its traffic is loopback)
+        self.channel_gb_per_s = max(site_bandwidth_gb_per_s / max(1, n - 1),
                                     0.001)
         self.serdes_latency_ps = int(serdes_latency_ns * 1000)
         self._num_sites = n
@@ -94,82 +94,7 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
 @register_kernel("electrical_baseline")
 def _vectorized_electrical(net: ElectricalBaselineNetwork,
                            plan) -> KernelOutput:
-    """Bulk kernel: point-to-point FIFO channels behind a SerDes stage.
-
-    Identical structure to the photonic point-to-point kernel, with one
-    extra heap event per off-site packet: the ``_start_tx`` callback at
-    ``t_inject + serdes``.  A SerDes event past the horizon never
-    dispatches — so its channel send (and delivery) never exists, which
-    the per-site ``searchsorted`` on the shifted times reproduces.
-    Per-channel dispatch order is still per-site index order: the SerDes
-    stage shifts a site's (strictly increasing) injection times by a
-    constant.
-    """
-    import numpy as np
-
-    n = net._num_sites
-    tx = serialization_ps(plan.packet_bytes, net.channel_gb_per_s)
-    prop = np.asarray(pair_propagation_table(net.config.layout),
-                      dtype=np.int64)
-    loop_ps = net.config.loopback_latency_ps
-    serdes = net.serdes_latency_ps
-    horizon = plan.horizon_ps
-
-    key_parts = []
-    send_parts = []
-    inject_parts = []
-    deliver_t = []
-    deliver_i = []
-    injected = 0
-    heap_events = 0
-    heap_pending = False
-    last_event = 0
-    for site in range(n):
-        times = plan.site_times_np[site]
-        m = int(np.searchsorted(times, horizon, side="right"))
-        injected += m
-        heap_events += m
-        if m < plan.pps:
-            heap_pending = True
-        if m == 0:
-            continue
-        if int(times[m - 1]) > last_event:
-            last_event = int(times[m - 1])
-        t = times[:m]
-        d = np.asarray(plan.site_dsts[site][:m], dtype=np.int64)
-        self_mask = d == site
-        if self_mask.any():
-            ts = t[self_mask]
-            deliver_t.append(ts + loop_ps)  # loopback skips the SerDes
-            deliver_i.append(ts)
-            t = t[~self_mask]
-            d = d[~self_mask]
-        send = t + serdes
-        started = int(np.searchsorted(send, horizon, side="right"))
-        heap_events += started
-        if started < send.shape[0]:
-            heap_pending = True  # undispatched SerDes events in the heap
-        if started == 0:
-            continue
-        if int(send[started - 1]) > last_event:
-            last_event = int(send[started - 1])
-        key_parts.append(site * n + d[:started])
-        send_parts.append(send[:started])
-        inject_parts.append(t[:started])
-
-    if key_parts:
-        key = np.concatenate(key_parts)
-        send_all = np.concatenate(send_parts)
-        inject_all = np.concatenate(inject_parts)
-        if key.size:
-            dt, order = fifo_channel_delivery(np, key, send_all, tx, prop)
-            deliver_t.append(dt)
-            deliver_i.append(inject_all[order])
-    empty = np.empty(0, dtype=np.int64)
-    return KernelOutput(
-        heap_events=heap_events,
-        heap_pending=heap_pending,
-        deliver_t=np.concatenate(deliver_t) if deliver_t else empty,
-        deliver_inject=np.concatenate(deliver_i) if deliver_i else empty,
-        injected=injected,
-        last_event_ps=last_event)
+    """Bulk kernel: the point-to-point FIFO channels behind a SerDes
+    stage, one ``_start_tx`` heap event per off-site packet
+    (:func:`repro.core.vectorized.fifo_channel_kernel`)."""
+    return fifo_channel_kernel(net, plan, stage_ps=net.serdes_latency_ps)

@@ -17,9 +17,8 @@ from typing import List, Optional
 
 from .base import Channel, InterSiteNetwork, Packet
 from ..core.engine import Simulator
-from ..core.units import serialization_ps
-from ..core.vectorized import (KernelOutput, fifo_channel_delivery,
-                               pair_propagation_table, register_kernel)
+from ..core.vectorized import (KernelOutput, fifo_channel_kernel,
+                               register_kernel)
 from ..macrochip.config import MacrochipConfig
 
 
@@ -69,67 +68,6 @@ class PointToPointNetwork(InterSiteNetwork):
 
 @register_kernel("point_to_point")
 def _vectorized_point_to_point(net: PointToPointNetwork, plan) -> KernelOutput:
-    """Bulk kernel: the whole load point without an event loop.
-
-    Valid because the network has no shared state beyond per-pair FIFO
-    channels, each owned by exactly one source site: a site's injection
-    times strictly increase (gaps are >= 1 ps), so per-channel dispatch
-    order equals per-site index order and the closed-form FIFO
-    recurrence (:func:`repro.core.vectorized.fifo_channel_delivery`)
-    yields every delivery time at once.  Only injector-chain events ever
-    sit in the scalar heap here — delivers are terminal — so the event
-    count is the dispatched injections plus in-horizon deliveries.
-    """
-    import numpy as np
-
-    n = net._num_sites
-    tx = serialization_ps(plan.packet_bytes, net.channel_gb_per_s)
-    prop = np.asarray(pair_propagation_table(net.config.layout),
-                      dtype=np.int64)
-    loop_ps = net.config.loopback_latency_ps
-    horizon = plan.horizon_ps
-
-    key_parts = []
-    t_parts = []
-    deliver_t = []
-    deliver_i = []
-    injected = 0
-    inject_pending = False
-    last_event = 0
-    for site in range(n):
-        times = plan.site_times_np[site]
-        m = int(np.searchsorted(times, horizon, side="right"))
-        injected += m
-        if m < plan.pps:
-            inject_pending = True  # next injector event sits past horizon
-        if m == 0:
-            continue
-        if int(times[m - 1]) > last_event:
-            last_event = int(times[m - 1])
-        t = times[:m]
-        d = np.asarray(plan.site_dsts[site][:m], dtype=np.int64)
-        self_mask = d == site
-        if self_mask.any():
-            ts = t[self_mask]
-            deliver_t.append(ts + loop_ps)  # electrical loopback
-            deliver_i.append(ts)
-            t = t[~self_mask]
-            d = d[~self_mask]
-        key_parts.append(site * n + d)
-        t_parts.append(t)
-
-    if key_parts:
-        key = np.concatenate(key_parts)
-        t_all = np.concatenate(t_parts)
-        if key.size:
-            dt, order = fifo_channel_delivery(np, key, t_all, tx, prop)
-            deliver_t.append(dt)
-            deliver_i.append(t_all[order])  # send time == inject time here
-    empty = np.empty(0, dtype=np.int64)
-    return KernelOutput(
-        heap_events=injected,
-        heap_pending=inject_pending,
-        deliver_t=np.concatenate(deliver_t) if deliver_t else empty,
-        deliver_inject=np.concatenate(deliver_i) if deliver_i else empty,
-        injected=injected,
-        last_event_ps=last_event)
+    """Bulk kernel: per-pair FIFO channels with nothing in front of them
+    (:func:`repro.core.vectorized.fifo_channel_kernel`)."""
+    return fifo_channel_kernel(net, plan, stage_ps=None)

@@ -99,11 +99,24 @@ class TrafficPattern:
         return clone
 
 
+def _require_other_sites(pattern: TrafficPattern) -> None:
+    """Reject a 1-site layout for a pattern that never targets the
+    source: its uniform draw over the other sites has an empty range."""
+    if pattern.layout.num_sites < 2:
+        raise ValueError("%s traffic needs at least 2 sites (it never "
+                         "sends to the source), got a 1-site layout"
+                         % pattern.name.lower())
+
+
 class UniformTraffic(TrafficPattern):
     """Uniform random destination over all *other* sites."""
 
     name = "Uniform"
     sweep_max_fraction = 1.0
+
+    def __init__(self, layout: MacrochipLayout = None, seed: int = 0) -> None:
+        super().__init__(layout, seed)
+        _require_other_sites(self)
 
     def destination(self, src: int) -> int:
         n = self.layout.num_sites
@@ -270,6 +283,7 @@ class HotspotTraffic(TrafficPattern):
                  hotspot_fraction: float = 0.2,
                  hotspots: List[int] = None) -> None:
         super().__init__(layout, seed)
+        _require_other_sites(self)
         if not 0.0 <= hotspot_fraction <= 1.0:
             raise ValueError("hotspot fraction must be in [0, 1]")
         self.hotspot_fraction = float(hotspot_fraction)

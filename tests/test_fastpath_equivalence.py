@@ -30,10 +30,10 @@ from repro.core.adaptive import AdaptiveConfig
 from repro.core.engine import Simulator
 from repro.core.sweep import run_load_point
 from repro.core.tracing import TraceRecorder
-from repro.core.vectorized import (fallback_networks, have_numpy,
-                                   vectorized_networks)
+from repro.core.vectorized import have_numpy, vectorized_networks
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
+from repro.networks import factory
 from repro.networks.factory import build_network
 from repro.workloads.synthetic import UniformTraffic, make_pattern
 
@@ -50,6 +50,7 @@ NETWORK_LOADS = [
     ("two_phase", 0.02, 0.08),
     ("circuit_switched", 0.01, 0.03),
     ("hermes", 0.05, 0.30),
+    ("electrical_baseline", 0.05, 0.60),
 ]
 
 NETWORKS = [key for key, _, _ in NETWORK_LOADS]
@@ -194,16 +195,15 @@ VEC_PATTERNS = ("uniform", "transpose")
 
 
 def test_vectorized_registry_covers_all_networks():
-    """Every network the sweeps drive — HERMES's snoopy broadcast
-    included since PR 10 — has a registered kernel, and the deliberate
-    fallback list is empty: any future gap is a test failure, not a
-    silent slow path."""
+    """Every network the factory builds — HERMES's snoopy broadcast
+    included — has a registered kernel, and nothing else is registered:
+    any future gap is a test failure, not a silent slow path."""
     registered = vectorized_networks()
     for key in ("point_to_point", "limited_point_to_point", "token_ring",
                 "two_phase", "two_phase_alt", "circuit_switched",
                 "electrical_baseline", "hermes"):
         assert key in registered
-    assert fallback_networks() == {}
+    assert set(registered) == set(factory.NETWORK_CLASSES)
 
 
 @needs_numpy

@@ -58,6 +58,16 @@ class TestUniform:
         assert a == b
 
 
+@pytest.mark.parametrize("pattern_cls", [UniformTraffic, BurstyTraffic,
+                                         HotspotTraffic])
+def test_other_site_patterns_reject_single_site(pattern_cls):
+    """Regression: patterns that never target the source used to accept
+    a 1-site layout and fail mid-draw with 'empty range for
+    randrange()' instead of at construction."""
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        pattern_cls(MacrochipLayout(rows=1, cols=1))
+
+
 class TestTranspose:
     def test_rejects_non_square_layout(self):
         """Regression: site_at() wraps modulo the grid, so a 4x8

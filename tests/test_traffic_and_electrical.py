@@ -11,10 +11,12 @@ from repro.analysis.traffic import (
 from repro.core.engine import Simulator
 from repro.cpu.coherence import CoherenceOp, OpKind
 from repro.cpu.trace import CoherenceTrace
-from repro.macrochip.config import small_test_config
+from repro.core.sweep import run_load_point
+from repro.macrochip.config import grid_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.electrical_baseline import ElectricalBaselineNetwork
 from repro.networks.point_to_point import PointToPointNetwork
+from repro.workloads.synthetic import make_pattern
 
 
 CFG = small_test_config(4, 4)
@@ -150,3 +152,18 @@ class TestElectricalBaseline:
     def test_invalid_bandwidth(self, sim):
         with pytest.raises(ValueError):
             ElectricalBaselineNetwork(CFG, sim, site_bandwidth_gb_per_s=0)
+
+    @pytest.mark.parametrize("pattern", ["transpose", "neighbor",
+                                         "adversarial"])
+    def test_single_site_grid_runs_all_loopback_traffic(self, pattern):
+        """A 1x1 grid has no destination to divide the pin budget over;
+        the network still builds, like every other network, and carries
+        its all-loopback traffic on both backends."""
+        cfg = grid_config(1, 1)
+        ElectricalBaselineNetwork(cfg, Simulator())
+        results = [run_load_point("electrical_baseline", cfg,
+                                  make_pattern(pattern, cfg.layout), 0.1,
+                                  window_ns=50.0, backend=backend)
+                   for backend in ("python", "vectorized")]
+        assert results[0].delivered_packets == results[0].injected_packets > 0
+        assert results[1] == results[0]
