@@ -22,6 +22,10 @@ A small, fast, deterministic event engine.  Design choices:
   the traced loop at the next event, and removing it switches back.
   Dispatch order, stop() cutoff, and horizon semantics are identical in
   both loops.
+* **The clock is a plain attribute.**  ``Simulator.now`` is a slot the
+  run loop writes before each dispatch, not a property: handlers read it
+  on nearly every event, and a slot read costs no function call.  Only
+  the engine writes it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ class SimulationError(RuntimeError):
 class Simulator:
     """A discrete-event simulator with integer-picosecond time.
 
+    ``now`` is the current time in picoseconds: an attribute the run
+    loop sets to each event's timestamp before calling it (and to the
+    horizon when a bounded ``run`` returns).  Read it; never assign it.
+
     Example
     -------
     >>> sim = Simulator()
@@ -48,11 +56,11 @@ class Simulator:
     ['b', 'a']
     """
 
-    __slots__ = ("_now", "_queue", "_bulk", "_seq", "_running", "_stopped",
+    __slots__ = ("now", "_queue", "_bulk", "_seq", "_running", "_stopped",
                  "trace")
 
     def __init__(self) -> None:
-        self._now = 0
+        self.now = 0
         self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         # descending-sorted bulk run, consumed from the tail via pop();
         # mutated only in place (never rebound) so the run loop's local
@@ -74,24 +82,19 @@ class Simulator:
         #: effect at the next dispatched event.
         self.trace: Optional[Callable[[int, Callable, tuple], None]] = None
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in picoseconds."""
-        return self._now
-
     def schedule(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay_ps`` after the current time."""
         if delay_ps < 0:
             raise SimulationError("cannot schedule into the past (delay=%d)" % delay_ps)
         seq = self._seq
-        heappush(self._queue, (self._now + delay_ps, seq, fn, args))
+        heappush(self._queue, (self.now + delay_ps, seq, fn, args))
         self._seq = seq + 1
 
     def at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time_ps``."""
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                "cannot schedule at %d before now=%d" % (time_ps, self._now)
+                "cannot schedule at %d before now=%d" % (time_ps, self.now)
             )
         seq = self._seq
         heappush(self._queue, (time_ps, seq, fn, args))
@@ -109,7 +112,7 @@ class Simulator:
         timestamp lies in the past, ``SimulationError`` is raised and
         *no* event of the batch is scheduled.
         """
-        now = self._now
+        now = self.now
         seq = self._seq
         stamped = []
         append = stamped.append
@@ -152,7 +155,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot reset a running simulator")
-        self._now = 0
+        self.now = 0
         self._queue.clear()
         self._bulk.clear()
         self._seq = 0
@@ -233,7 +236,7 @@ class Simulator:
                             else:
                                 finished = True
                                 break
-                            self._now = item[0]
+                            self.now = item[0]
                             item[2](*item[3])
                             dispatched += 1
                             if self._stopped or self.trace is not None:
@@ -255,7 +258,7 @@ class Simulator:
                                 self._unpop(item)
                                 finished = True
                                 break
-                            self._now = time_ps
+                            self.now = time_ps
                             item[2](*item[3])
                             dispatched += 1
                             if self._stopped or self.trace is not None:
@@ -275,7 +278,7 @@ class Simulator:
                             self._unpop(item)
                             finished = True
                             break
-                        self._now = time_ps
+                        self.now = time_ps
                         trace(time_ps, item[2], item[3])
                         item[2](*item[3])
                         dispatched += 1
@@ -283,6 +286,6 @@ class Simulator:
                             break
         finally:
             self._running = False
-        if until_ps is not None and not self._stopped and self._now < until_ps:
-            self._now = until_ps
+        if until_ps is not None and not self._stopped and self.now < until_ps:
+            self.now = until_ps
         return dispatched

@@ -250,12 +250,18 @@ class NetworkStats:
         return self.injected_packets - self.delivered_packets
 
     def on_deliver(self, now_ps: int, inject_ps: int, size_bytes: int) -> None:
+        # one window test for both meters (ThroughputMeter.record inlined)
         self.delivered_packets += 1
-        window_end = self.throughput.window_end_ps
-        if (now_ps >= self.throughput.warmup_ps
+        meter = self.throughput
+        window_end = meter.window_end_ps
+        if (now_ps >= meter.warmup_ps
                 and (window_end is None or now_ps <= window_end)):
             self.latency.add(now_ps - inject_ps)
-        self.throughput.record(now_ps, size_bytes)
+            meter._bytes += size_bytes
+            meter._packets += 1
+            if meter._first_ps is None:
+                meter._first_ps = now_ps
+            meter._last_ps = now_ps
 
     def summary(self) -> Dict[str, float]:
         """A plain-dict summary convenient for tables and tests."""

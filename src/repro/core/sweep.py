@@ -397,7 +397,7 @@ def run_load_point(network_name: str,
 
         def injector(site: int, idx: int) -> None:
             net.inject(Packet(site, site_dsts[site][idx], packet_bytes,
-                              pid=next(pids)))
+                              "data", None, next(pids)))
             nxt = idx + 1
             if nxt < packets_per_site:
                 sim.schedule(site_gaps[site][nxt], injector, site, nxt)

@@ -55,6 +55,13 @@ class MacrochipConfig:
     #: Intra-site traffic uses a single-cycle loopback (section 6.2).
     loopback_latency_cycles: int = 1
 
+    def __post_init__(self) -> None:
+        # replay() would wait forever on zero MSHRs, and a negative
+        # budget never reaches its "== 0" stall check (unbounded MSHRs)
+        if self.mshrs_per_site < 1:
+            raise ValueError("mshrs_per_site must be at least 1, got %r"
+                             % (self.mshrs_per_site,))
+
     @property
     def num_sites(self) -> int:
         return self.layout.num_sites

@@ -181,6 +181,8 @@ class InterSiteNetwork:
         # copy-on-write.
         self._energy_cache: Dict[Tuple[int, int], float] = intern_memo(
             ("energy_pj", config.tech), dict)
+        # computed config property, read once per loopback packet
+        self._loopback_ps = config.loopback_latency_ps
 
     # -- public interface -------------------------------------------------
 
@@ -226,15 +228,15 @@ class InterSiteNetwork:
 
     def inject(self, packet: Packet) -> None:
         """Accept a packet for delivery.  Subclasses route it."""
-        packet.t_inject = self.sim.now
+        now = self.sim.now
+        packet.t_inject = now
         self.stats.injected_packets += 1
         if self.tracer is not None:
-            self.tracer.emit(self.sim.now, tracing.INJECT, pid=packet.pid,
+            self.tracer.emit(now, tracing.INJECT, pid=packet.pid,
                              src=packet.src, dst=packet.dst,
                              size_bytes=packet.size_bytes)
         if packet.src == packet.dst:
-            self.sim.schedule(self.config.loopback_latency_ps,
-                              self._deliver, packet)
+            self.sim.schedule(self._loopback_ps, self._deliver, packet)
             return
         self._route(packet)
 
@@ -264,22 +266,23 @@ class InterSiteNetwork:
     def _deliver(self, packet: Packet) -> None:
         """Record stats and hand the packet to the sink.  Subclasses call
         this (directly or via Channel callbacks) at arrival time."""
-        packet.t_deliver = self.sim.now
+        now = self.sim.now
+        packet.t_deliver = now
         if self.tracer is not None:
-            self.tracer.emit(self.sim.now, tracing.DELIVER, pid=packet.pid,
+            self.tracer.emit(now, tracing.DELIVER, pid=packet.pid,
                              src=packet.src, dst=packet.dst,
                              size_bytes=packet.size_bytes)
-        self.stats.on_deliver(self.sim.now, packet.t_inject, packet.size_bytes)
-        self._account_optical_energy(packet)
+        self.stats.on_deliver(now, packet.t_inject, packet.size_bytes)
+        if packet.src != packet.dst:  # loopback spends no network energy
+            self._account_optical_energy(packet)
         if packet.on_delivered is not None:
             packet.on_delivered(packet)
         if self._sink is not None:
             self._sink(packet)
 
     def _account_optical_energy(self, packet: Packet) -> None:
-        if packet.src == packet.dst:
-            return
-        hops = max(1, packet.hops) if packet.hops else 1
+        """Charge one off-site packet's dynamic energy."""
+        hops = packet.hops if packet.hops > 1 else 1
         key = (packet.size_bytes, hops)
         pj = self._energy_cache.get(key)
         if pj is None:

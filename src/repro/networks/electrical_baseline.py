@@ -84,8 +84,6 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
         ch.send(packet, self._deliver)
 
     def _account_optical_energy(self, packet: Packet) -> None:
-        if packet.src == packet.dst:
-            return
         self.stats.energy.add(
             "electrical",
             packet.size_bytes * 8 * ELECTRICAL_ENERGY_PJ_PER_BIT)

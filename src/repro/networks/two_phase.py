@@ -91,6 +91,9 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
             ("2ph-rowcol", layout),
             lambda: ([layout.coords(s)[0] for s in range(n)],
                      [layout.coords(s)[1] for s in range(n)]))
+        self._cols = layout.cols
+        #: src*n+dst propagation table, consulted per granted slot
+        self._prop = pair_propagation_table(layout)
         # shared channel per (row, destination), flat row*n+dst table
         self._channel_table: List[Optional[Channel]] = [None] * (layout.rows * n)
         # per (site, column): [busy_until, configured_destination] per
@@ -130,7 +133,7 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         return ch
 
     def _tree_slots(self, site: int, col: int) -> List[List[int]]:
-        idx = site * self.config.layout.cols + col
+        idx = site * self._cols + col
         slots = self._tree_table[idx]
         if slots is None:
             # busy_until starts in the distant past: an untouched tree has
@@ -152,10 +155,14 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
 
     def _route(self, packet: Packet) -> None:
         packet.hops = 1
-        self._arbitrate(packet)
+        dur = self._slot_cache.get(packet.size_bytes)
+        if dur is None:
+            dur = self.slot_duration_ps(packet.size_bytes)
+        self._arbitrate(packet, dur)
 
-    def _arbitrate(self, packet: Packet) -> None:
-        """Phase 1: post the request; all domain members assign slot Tr.
+    def _arbitrate(self, packet: Packet, dur: int) -> None:
+        """Phase 1: post the request; all domain members assign slot Tr
+        of ``dur`` picoseconds (the packet's data-slot length).
 
         The earliest slot is request flight + arb slot + notification
         flight + switch setup after "now" (precombined in _arb_lead_ps).
@@ -164,17 +171,17 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         ch = self._channel_table[row * self._num_sites + packet.dst]
         if ch is None:
             ch = self.channel(row, packet.dst)
-        earliest_tr = self.sim.now + self._arb_lead_ps
-        dur = self._slot_cache.get(packet.size_bytes)
-        if dur is None:
-            dur = self.slot_duration_ps(packet.size_bytes)
-        next_free = ch.next_free
-        tr = earliest_tr if earliest_tr >= next_free else next_free
-        ch.reserve(tr, dur)
+        now = self.sim.now
+        tr = now + self._arb_lead_ps
+        if tr < ch.next_free:
+            tr = ch.next_free
+        # reserve [tr, tr + dur) on the shared channel (tr >= next_free)
+        ch.next_free = tr + dur
+        ch.busy_ps += dur
         if self.tracer is not None:
             # slot reservation on the shared channel timeline: exclusive
             # for [tr, tr+dur) whether or not the slot ends up used
-            self.tracer.emit(self.sim.now, tracing.GRANT, pid=packet.pid,
+            self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                              resource="slot:" + ch.name,
                              start_ps=tr, end_ps=tr + dur)
         self.sim.at(tr, self._slot_begins, packet, dur)
@@ -186,30 +193,38 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         during the notification lead time.  Otherwise the reserved slot is
         wasted — the channel stays idle for it — and the packet must
         re-arbitrate from scratch."""
-        dst_col = self._col_of[packet.dst]
-        trees = self._tree_slots(packet.src, dst_col)
+        src = packet.src
+        dst = packet.dst
+        dst_col = self._col_of[dst]
+        trees = self._tree_table[src * self._cols + dst_col]
+        if trees is None:
+            trees = self._tree_slots(src, dst_col)
         now = self.sim.now
-        best = None
-        for idx, tree in enumerate(trees):
-            busy_until, configured_dst = tree
-            lead = 0 if configured_dst == packet.dst else self.tree_reconfig_ps
-            if busy_until + lead <= now:
-                # prefer an already-configured tree, else the longest idle
-                key = (0 if lead == 0 else 1, busy_until)
-                if best is None or key < best[0]:
-                    best = (key, tree, idx)
-        if best is not None:
-            _, tree, idx = best
+        reconfig = self.tree_reconfig_ps
+        # a tree needing no retune (configured for dst, or any tree when
+        # retuning is free) beats one that does; within a class the
+        # longest idle wins, ties to the lowest index
+        best, best_ready, best_busy = -1, False, 0
+        for idx, (busy_until, configured_dst) in enumerate(trees):
+            if configured_dst == dst or not reconfig:
+                if busy_until <= now and (not best_ready
+                                          or busy_until < best_busy):
+                    best, best_ready, best_busy = idx, True, busy_until
+            elif (not best_ready and busy_until + reconfig <= now
+                  and (best < 0 or busy_until < best_busy)):
+                best, best_busy = idx, busy_until
+        if best >= 0:
+            tree = trees[best]
             tree[0] = now + dur
-            tree[1] = packet.dst
+            tree[1] = dst
             self.granted_slots += 1
             if self.tracer is not None:
                 self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                                  resource="tree:%d.%d/%d"
-                                 % (packet.src, dst_col, idx),
+                                 % (src, dst_col, best),
                                  start_ps=now, end_ps=now + dur)
-            arrival = now + dur + self.propagation_ps(packet.src, packet.dst)
-            self.sim.at(arrival, self._deliver, packet)
+            self.sim.at(now + dur + self._prop[src * self._num_sites + dst],
+                        self._deliver, packet)
             return
         # tree contention: the reserved slot is wasted, re-arbitrate
         self.wasted_slots += 1
@@ -219,7 +234,7 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
                              resource="slot:2ph[row=%d->%d]"
                              % (row, packet.dst),
                              start_ps=now, end_ps=now + dur)
-        self.sim.schedule(ARB_SLOT_PS, self._arbitrate, packet)
+        self.sim.schedule(ARB_SLOT_PS, self._arbitrate, packet, dur)
 
 
 @register_kernel("two_phase")

@@ -85,3 +85,14 @@ def test_grid_config_holds_per_site_resources_at_table4():
     assert big.site_bandwidth_gb_per_s == scaled_config().site_bandwidth_gb_per_s
     rect = grid_config(4, 8)
     assert (rect.layout.rows, rect.layout.cols) == (4, 8)
+
+
+@pytest.mark.parametrize("mshrs", [0, -1])
+def test_non_positive_mshr_budget_is_rejected(mshrs):
+    # zero MSHRs would stall every replayed op forever; a negative budget
+    # would skip the stall check and leave MSHRs unbounded
+    with pytest.raises(ValueError, match="mshrs_per_site"):
+        MacrochipConfig(mshrs_per_site=mshrs)
+    with pytest.raises(ValueError, match="mshrs_per_site"):
+        small_test_config(2, 2).with_overrides(mshrs_per_site=mshrs)
+    assert MacrochipConfig(mshrs_per_site=1).mshrs_per_site == 1

@@ -68,3 +68,8 @@ def test_stream_roundtrip():
     save_config(cfg, buf)
     buf.seek(0)
     assert load_config(buf).clock_ghz == 4.0
+
+
+def test_load_rejects_non_positive_mshr_budget():
+    with pytest.raises(ValueError, match="mshrs_per_site"):
+        load_config(io.StringIO('{"mshrs_per_site": 0}'))

@@ -1,9 +1,10 @@
 """Tests for the token-ring optical crossbar (Corona adaptation)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.networks.base import Packet
-from repro.networks.token_ring import TokenRingCrossbar
+from repro.networks.token_ring import TokenRingCrossbar, next_waiter
 
 
 @pytest.fixture
@@ -149,3 +150,63 @@ def test_contended_destination_drains_in_waves(paper_config):
     # ~4 waves around the ring, each roughly one rotation plus grant
     # overheads; the faulty selection needed tens of rotations
     assert makespan < 7 * net.rotation_ps
+
+
+# -- the waiter choice shared by the scalar handler and the numpy kernel ----
+
+def _scan_next_waiter(mask, n, hop, tok_pos, tok_time, now, min_offset,
+                      release_pos, release_at):
+    """Reference: scan the whole ring and minimize (grant_time, offset)."""
+    if now <= tok_time:
+        pos, at = tok_pos, tok_time
+    else:
+        hops = (now - tok_time) // hop
+        pos, at = (tok_pos + hops) % n, tok_time + hops * hop
+    best = None
+    for p in range(n):
+        if not (mask >> p) & 1:
+            continue
+        offset = (p - pos) % n
+        if offset < min_offset:
+            offset += n  # the releasing site waits a full trip
+        grant_time = max(now, at + offset * hop)
+        if p == release_pos:
+            grant_time = max(grant_time, release_at)
+        if best is None or (grant_time, offset) < best[0]:
+            best = ((grant_time, offset), p)
+    return best[0][0], best[1]
+
+
+@st.composite
+def _waiter_cases(draw):
+    n = draw(st.integers(1, 64))
+    now = draw(st.integers(0, 10 ** 6))
+    hop = draw(st.integers(1, 400))
+    tok_time = draw(st.integers(0, now))  # at <= now when scheduling
+    if draw(st.booleans()):
+        release_at = draw(st.integers(0, 2 * 10 ** 6))
+    else:
+        # on (or next to) the token's hop grid, so the releasing site can
+        # tie with the waiter after it
+        hops = (now - tok_time) // hop + draw(st.integers(0, 2 * n + 1))
+        release_at = tok_time + hops * hop + draw(st.integers(-1, 1))
+    mask = draw(st.integers(1, (1 << n) - 1))
+    waiters = [p for p in range(n) if (mask >> p) & 1]
+    return dict(
+        mask=mask,
+        n=n,
+        hop=hop,
+        tok_pos=draw(st.integers(0, n - 1)),
+        tok_time=tok_time,
+        now=now,
+        min_offset=draw(st.sampled_from((0, 1))),
+        # often a waiter, so the release bump is exercised
+        release_pos=draw(st.integers(-1, n - 1) | st.sampled_from(waiters)),
+        release_at=release_at,
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_waiter_cases())
+def test_next_waiter_matches_full_ring_scan(case):
+    assert next_waiter(**case) == _scan_next_waiter(**case)

@@ -87,3 +87,45 @@ def test_reconfig_window_enforced_between_column_switches(net, sim):
     sim.run()
     d1, d2 = sorted([p1.t_deliver, p2.t_deliver])[:2]
     assert d2 - d1 >= net.tree_reconfig_ps
+
+
+def _tree_grants(sends, trees_per_column=3):
+    """Inject ``(time_ps, dst)`` packets from site 0 and return the switch
+    tree (the ``/idx`` of its ``tree:0.c/idx`` GRANT) each one used."""
+    from repro.core.tracing import GRANT, TraceRecorder
+
+    sim = Simulator()
+    net = TwoPhaseArbitratedNetwork(CFG, sim,
+                                    trees_per_column=trees_per_column)
+    rec = TraceRecorder()
+    net.set_tracer(rec)
+    packets = []
+    for t, dst in sends:
+        p = Packet(0, dst, 64)
+        packets.append(p)
+        sim.at(t, net.inject, p)
+    sim.run()
+    assert net.wasted_slots == 0
+    tree_of = {e.pid: int(e.resource.rsplit("/", 1)[1])
+               for e in rec.by_type(GRANT) if e.resource.startswith("tree:")}
+    return [tree_of[p.pid] for p in packets]
+
+
+# sites 1, 9, 17, 25, 33 all sit in column 1: one tree set at site 0
+D1, D2, D3, D4 = 1, 9, 17, 25
+
+
+def test_multi_tree_choice_prefers_configured_then_longest_idle():
+    assert _tree_grants([
+        (0, D1),       # untouched trees tie: lowest index
+        (1000, D2),    # tree 0 is mid-retune for D1: next lowest untouched
+        (100000, D1),  # configured tree 0 beats never-used tree 2
+        (200000, D3),  # all retunable: never-used tree 2 idled longest
+        (300000, D4),  # tree 1 (last used at 1 ns) idled longest
+    ]) == [0, 1, 0, 2, 1]
+
+
+def test_multi_tree_choice_breaks_idle_ties_to_lowest_index():
+    # three slots end together, so all three trees idle equally long
+    assert _tree_grants([(0, D1), (0, D2), (0, D3), (100000, D4)]) \
+        == [0, 1, 2, 0]
